@@ -22,7 +22,7 @@
 /// tools/bench_compare.py diffs two of these documents (tolerance-based,
 /// counters exact, pauses reported but never failing) and enforces the
 /// paper's shape invariants; CI runs it against the checked-in
-/// BENCH_PR4.json.
+/// BENCH_PR10.json.
 ///
 //===----------------------------------------------------------------------===//
 #include "bench_programs/Benchmarks.h"

@@ -106,6 +106,7 @@ public:
   using CastBackend::CastBackend;
 
   CastMode castMode() const override { return CastMode::Coercions; }
+  bool castsAreCoercions() const override { return true; }
 
   Value applyCast(Value V, const CastDescriptor &Desc,
                   CoercionCache *IC) override {
@@ -308,6 +309,7 @@ public:
   using CoercionsBackend::CoercionsBackend;
 
   CastMode castMode() const override { return CastMode::Monotonic; }
+  bool castsAreCoercions() const override { return false; }
 
   Value applyCast(Value V, const CastDescriptor &Desc,
                   CoercionCache *) override {
@@ -363,6 +365,7 @@ public:
   using CoercionsBackend::CoercionsBackend;
 
   CastMode castMode() const override { return CastMode::Static; }
+  bool castsAreCoercions() const override { return false; }
 
   Value applyCast(Value V, const CastDescriptor &,
                   CoercionCache *) override {

@@ -101,6 +101,14 @@ public:
   /// mode but TypeBased, whose proxies carry the S/T/label triple).
   virtual bool coercionCallProtocol() const { return true; }
 
+  /// True when casts take the default coercion path: applyCast applies
+  /// the site's coercion (CastDescriptor::C), castRuntime applies the
+  /// interned S => T coercion through the site's inline cache, and the
+  /// Dyn-site reference hooks keep their defaults. The VM then calls
+  /// Runtime::applyCoercionCast / castRuntimeCoercion and the inline
+  /// reference paths directly instead of these virtuals.
+  virtual bool castsAreCoercions() const { return false; }
+
   /// True when the VM must compose a frame's pending return coercions
   /// into a single per-frame coercion argument instead of stacking them
   /// (coercion-passing style). With this off, a chain of n proxied tail

@@ -7,8 +7,8 @@
 ///
 ///   * the VM counts dispatched instructions against MaxSteps (checked
 ///     once per dispatch batch, so overshoot is bounded by the batch
-///     size), enforces MaxHeapBytes in Heap::allocateObject, MaxFrames in
-///     doCall, and MaxWallNanos at batch boundaries;
+///     size), enforces MaxHeapBytes in Heap::allocateObject, MaxFrames at
+///     every non-tail call, and MaxWallNanos at batch boundaries;
 ///   * the reference interpreter counts eval() steps against MaxSteps and
 ///     interpreted-call depth against MaxFrames.
 ///

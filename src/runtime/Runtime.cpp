@@ -32,7 +32,7 @@ void Runtime::trap(std::string Message) {
 // Dyn introspection
 //===----------------------------------------------------------------------===//
 
-const Type *Runtime::runtimeTypeOf(Value V) const {
+const Type *Runtime::runtimeTypeOfSlow(Value V) const {
   if (V.isFloat()) // NaN-boxed doubles are self-describing
     return Types.floating();
   switch (V.tag()) {
@@ -65,12 +65,6 @@ const Type *Runtime::runtimeTypeOf(Value V) const {
   return Types.dyn();
 }
 
-Value Runtime::dynUnwrap(Value V) const {
-  if (V.isHeap() && V.object()->kind() == ObjectKind::DynBox)
-    return V.object()->slot(0);
-  return V;
-}
-
 Value Runtime::inject(Value V, const Type *S) {
   assert(!S->isDyn() && "cannot inject Dyn");
   // Self-describing representations stay inline (paper: atomic values are
@@ -100,11 +94,6 @@ Value Runtime::applyMonotonic(Value V, const Type *S, const Type *T,
   return castMono(V, S, T, Label);
 }
 
-Value Runtime::applyCoercion(Value V, const Coercion *C, CoercionCache *IC) {
-  ++Stats.CastsApplied;
-  return coerce(V, C, IC);
-}
-
 Value Runtime::applyTypeBased(Value V, const Type *S, const Type *T,
                               const std::string *Label) {
   ++Stats.CastsApplied;
@@ -114,6 +103,12 @@ Value Runtime::applyTypeBased(Value V, const Type *S, const Type *T,
 Value Runtime::castRuntime(Value V, const Type *S, const Type *T,
                            const std::string *Label, CoercionCache *IC) {
   TheHeap.maybeCastTortureMinor(V);
+  return Backend->castRuntime(V, S, T, Label, IC);
+}
+
+Value Runtime::castRuntimeMiss(Value V, const Type *S, const Type *T,
+                               const std::string *Label, CoercionCache *IC) {
+  // No cast-torture step: coerceRuntime's callers have taken theirs.
   return Backend->castRuntime(V, S, T, Label, IC);
 }
 
@@ -450,46 +445,31 @@ HeapObject *Runtime::underlyingRef(Value Ref) const {
   return Object;
 }
 
-// The bare-object fast paths stay inline here; only a proxied reference
-// pays the virtual dispatch into the backend's slow path.
-
-Value Runtime::boxRead(Value Box) {
-  if (!Box.isProxy())
-    return Box.object()->slot(0);
+Value Runtime::boxReadProxied(Value Box) {
   return Backend->proxyBoxRead(Box);
 }
 
-void Runtime::boxWrite(Value Box, Value Content) {
-  if (!Box.isProxy()) {
-    HeapObject *Object = Box.object();
-    Object->slot(0) = Content;
-    TheHeap.recordWrite(Object, Content);
-    return;
-  }
+void Runtime::boxWriteProxied(Value Box, Value Content) {
   Backend->proxyBoxWrite(Box, Content);
 }
 
-Value Runtime::vectorRef(Value Vect, int64_t Index) {
-  if (!Vect.isProxy()) {
-    HeapObject *Object = Vect.object();
-    if (Index < 0 || Index >= Object->slotCount())
-      trap("vector index " + std::to_string(Index) + " out of bounds for " +
-           "length " + std::to_string(Object->slotCount()));
-    return Object->slot(static_cast<uint32_t>(Index));
-  }
+// The inline vectorRef/vectorSet come here for a proxied vector, or for
+// an out-of-bounds index into a bare one.
+
+static std::string outOfBounds(int64_t Index, const HeapObject *Vect) {
+  return "vector index " + std::to_string(Index) + " out of bounds for " +
+         "length " + std::to_string(Vect->slotCount());
+}
+
+Value Runtime::vectorRefSlow(Value Vect, int64_t Index) {
+  if (!Vect.isProxy())
+    trap(outOfBounds(Index, Vect.object()));
   return Backend->proxyVectorRef(Vect, Index);
 }
 
-void Runtime::vectorSet(Value Vect, int64_t Index, Value Content) {
-  if (!Vect.isProxy()) {
-    HeapObject *Object = Vect.object();
-    if (Index < 0 || Index >= Object->slotCount())
-      trap("vector index " + std::to_string(Index) + " out of bounds for " +
-           "length " + std::to_string(Object->slotCount()));
-    Object->slot(static_cast<uint32_t>(Index)) = Content;
-    TheHeap.recordWrite(Object, Content);
-    return;
-  }
+void Runtime::vectorSetSlow(Value Vect, int64_t Index, Value Content) {
+  if (!Vect.isProxy())
+    trap(outOfBounds(Index, Vect.object()));
   Backend->proxyVectorSet(Vect, Index, Content);
 }
 

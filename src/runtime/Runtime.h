@@ -99,8 +99,29 @@ public:
   Value applyCast(Value V, const CastDescriptor &Desc,
                   CoercionCache *IC = nullptr);
 
-  /// Applies a coercion (coercion mode). Counts one runtime cast.
-  Value applyCoercion(Value V, const Coercion *C, CoercionCache *IC = nullptr);
+  /// Applies a coercion (coercion mode). Counts one runtime cast. The
+  /// shapes that neither allocate nor consult a cache (Id, an atomic
+  /// Inject, a Project whose value already has the target type) return
+  /// inline; everything else goes through coerce.
+  Value applyCoercion(Value V, const Coercion *C,
+                      CoercionCache *IC = nullptr) {
+    ++Stats.CastsApplied;
+    switch (C->kind()) {
+    case CoercionKind::Id:
+      return V;
+    case CoercionKind::Inject:
+      if (C->type()->isAtomic())
+        return V;
+      break;
+    case CoercionKind::Project:
+      if (runtimeTypeOf(V) == C->type())
+        return dynUnwrap(V);
+      break;
+    default:
+      break;
+    }
+    return coerce(V, C, IC);
+  }
 
   /// Applies a type-based cast (type-based mode). Counts one runtime cast.
   Value applyTypeBased(Value V, const Type *S, const Type *T,
@@ -111,6 +132,40 @@ public:
   /// run time. Counts one runtime cast.
   Value castRuntime(Value V, const Type *S, const Type *T,
                     const std::string *Label, CoercionCache *IC = nullptr);
+
+  /// applyCast and castRuntime for a backend whose casts take the default
+  /// coercion path (CastBackend::castsAreCoercions: applyCast applies the
+  /// site's coercion, castRuntime the interned S => T coercion through
+  /// the site cache). The VM calls these directly, so the common case —
+  /// a cache hit followed by one of applyCoercion's inline shapes — runs
+  /// without a virtual or out-of-line call. Counts exactly like
+  /// applyCast / castRuntime: one cast-torture step and one cast, plus
+  /// castRuntime's cache probe (a miss falls to the backend, which
+  /// probes again and counts the miss once).
+  Value applyCoercionCast(Value V, const CastDescriptor &Desc,
+                          CoercionCache *IC) {
+    TheHeap.maybeCastTortureMinor(V);
+    return applyCoercion(V, Desc.C, IC);
+  }
+
+  Value castRuntimeCoercion(Value V, const Type *S, const Type *T,
+                            const std::string *Label, CoercionCache *IC) {
+    TheHeap.maybeCastTortureMinor(V);
+    return coerceRuntime(V, S, T, Label, IC);
+  }
+
+  /// The coercion backends' own CastBackend::castRuntime, inline: like
+  /// castRuntimeCoercion but without the cast-torture step, which only
+  /// Runtime's entry points take. The default Dyn-site reference hooks
+  /// cast this way, so the VM's inline versions of them do too.
+  Value coerceRuntime(Value V, const Type *S, const Type *T,
+                      const std::string *Label, CoercionCache *IC) {
+    const Coercion *C = (IC ? *IC : DynCastIC).lookup(S, T, Label);
+    if (!C)
+      return castRuntimeMiss(V, S, T, Label, IC);
+    ++Stats.CacheHits;
+    return applyCoercion(V, C, IC);
+  }
 
   /// The interned normal-form coercion for S ⇒ T (shared DynCastIC on
   /// repeats). Used by the VM to turn a runtime-typed pending return
@@ -129,11 +184,22 @@ public:
   // Dyn introspection (lazy-D)
   //===--------------------------------------------------------------------===//
 
-  /// TYPE(v): the source type of a value of static type Dyn.
-  const Type *runtimeTypeOf(Value V) const;
+  /// TYPE(v): the source type of a value of static type Dyn. Fixnums and
+  /// DynBoxes — the bulk of Dyn traffic — are answered inline.
+  const Type *runtimeTypeOf(Value V) const {
+    if (V.isFixnum())
+      return Types.integer();
+    if (V.isHeap() && V.object()->kind() == ObjectKind::DynBox)
+      return static_cast<const Type *>(V.object()->meta(0));
+    return runtimeTypeOfSlow(V);
+  }
 
   /// UNTAG(v): the underlying value of a value of static type Dyn.
-  Value dynUnwrap(Value V) const;
+  Value dynUnwrap(Value V) const {
+    if (V.isHeap() && V.object()->kind() == ObjectKind::DynBox)
+      return V.object()->slot(0);
+    return V;
+  }
 
   /// INJECT(v, S): tags \p V (of type \p S ≠ Dyn) as Dyn. Self-describing
   /// values (ints, bools, chars, unit, floats) are returned unchanged;
@@ -144,10 +210,45 @@ public:
   // Proxy-aware reference operations
   //===--------------------------------------------------------------------===//
 
-  Value boxRead(Value Box);
-  void boxWrite(Value Box, Value Content);
-  Value vectorRef(Value Vect, int64_t Index);
-  void vectorSet(Value Vect, int64_t Index, Value Content);
+  // The bare-object paths are inline; a proxied reference (or an
+  // out-of-bounds index) goes out of line, and only a proxied reference
+  // pays the virtual dispatch into the backend's slow path.
+
+  Value boxRead(Value Box) {
+    if (!Box.isProxy())
+      return Box.object()->slot(0);
+    return boxReadProxied(Box);
+  }
+
+  void boxWrite(Value Box, Value Content) {
+    if (Box.isProxy())
+      return boxWriteProxied(Box, Content);
+    HeapObject *Object = Box.object();
+    Object->slot(0) = Content;
+    TheHeap.recordWrite(Object, Content);
+  }
+
+  Value vectorRef(Value Vect, int64_t Index) {
+    if (!Vect.isProxy()) {
+      HeapObject *Object = Vect.object();
+      if (Index >= 0 && Index < Object->slotCount())
+        return Object->slot(static_cast<uint32_t>(Index));
+    }
+    return vectorRefSlow(Vect, Index);
+  }
+
+  void vectorSet(Value Vect, int64_t Index, Value Content) {
+    if (!Vect.isProxy()) {
+      HeapObject *Object = Vect.object();
+      if (Index >= 0 && Index < Object->slotCount()) {
+        Object->slot(static_cast<uint32_t>(Index)) = Content;
+        TheHeap.recordWrite(Object, Content);
+        return;
+      }
+    }
+    vectorSetSlow(Vect, Index, Content);
+  }
+
   int64_t vectorLength(Value Vect);
 
   /// The function-proxy chain length starting at \p Callee (0 for a plain
@@ -203,6 +304,15 @@ private:
   RuntimeStats Stats;
 
   Value coerce(Value V, const Coercion *C, CoercionCache *IC = nullptr);
+
+  // Out-of-line halves of the inline entry points above.
+  const Type *runtimeTypeOfSlow(Value V) const;
+  Value castRuntimeMiss(Value V, const Type *S, const Type *T,
+                        const std::string *Label, CoercionCache *IC);
+  Value boxReadProxied(Value Box);
+  void boxWriteProxied(Value Box, Value Content);
+  Value vectorRefSlow(Value Vect, int64_t Index);
+  void vectorSetSlow(Value Vect, int64_t Index, Value Content);
   Value castTB(Value V, const Type *S, const Type *T,
                const std::string *Label);
 
@@ -225,7 +335,7 @@ private:
 
   /// Shared fallback caches for conversion sites that have no per-site
   /// slot in the VM: proxy-apply composition (function and reference),
-  /// projection of a Dyn payload, runtime-typed make (doReturn's
+  /// projection of a Dyn payload, runtime-typed make (Return's
   /// pending Dyn result casts, monotonic function casts), and pending
   /// return-coercion composition (coercion-passing style).
   CoercionCache FunComposeIC, RefComposeIC, ProjectIC, DynCastIC,

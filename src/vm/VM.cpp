@@ -3,6 +3,7 @@
 #include "runtime/CastBackend.h"
 #include "support/StringUtil.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <cmath>
@@ -11,7 +12,9 @@
 using namespace grift;
 
 namespace {
-constexpr size_t InitialStack = 1u << 16;
+/// Small, so a short run (every griftd request builds a fresh VM) does
+/// not pay for filling a large stack; growStack doubles it on demand.
+constexpr size_t InitialStack = 1u << 10;
 constexpr size_t MaxStackEntries = 1u << 26; // 64M values ≈ 512 MB
 constexpr size_t DefaultMaxFrames = 4u << 20;
 /// Fuel/wall budgets are checked once per this many dispatched
@@ -23,7 +26,8 @@ constexpr uint32_t StepBatch = 1024;
 VM::VM(Runtime &RT, const VMProgram &Prog)
     : RT(RT), Prog(Prog),
       CoercionCallProtocol(RT.backend().coercionCallProtocol()),
-      ComposeReturns(RT.backend().composesPendingReturns()) {
+      ComposeReturns(RT.backend().composesPendingReturns()),
+      CoercionCasts(RT.backend().castsAreCoercions()) {
   RT.heap().addRootProvider(this);
 }
 
@@ -56,6 +60,7 @@ RunResult VM::run(std::string In, const RunLimits &L) {
   Stack.assign(InitialStack, Value::unit());
   Top = 0;
   Frames.clear();
+  RetStack.clear();
   Globals.assign(Prog.GlobalNames.size(), Value::unit());
   Output.clear();
   Input = std::move(In);
@@ -163,8 +168,7 @@ void VM::checkBudgets(uint32_t BatchSteps) {
 // Calls
 //===----------------------------------------------------------------------===//
 
-Value VM::resolveCallee(Value Callee, uint32_t Argc, size_t ArgsBase,
-                        std::vector<RetCast> &Pending) {
+Value VM::resolveCallee(Value Callee, uint32_t Argc, size_t ArgsBase) {
   // The callee lives in the stack slot below the arguments; the walk
   // keeps it there so the proxy stays rooted — and is re-derived after
   // each conversion pass, which can allocate and therefore move a young
@@ -185,7 +189,7 @@ Value VM::resolveCallee(Value Callee, uint32_t Argc, size_t ArgsBase,
              "proxy coercion arity mismatch");
       for (uint32_t I = 0; I != Argc; ++I)
         Stack[ArgsBase + I] = RT.applyCoercion(Stack[ArgsBase + I], C->arg(I));
-      Pending.push_back({C->result(), nullptr, nullptr, nullptr});
+      RetStack.push_back({C->result(), nullptr, nullptr, nullptr});
     } else {
       const Type *S = static_cast<const Type *>(P->meta(0));
       const Type *T = static_cast<const Type *>(P->meta(1));
@@ -194,7 +198,7 @@ Value VM::resolveCallee(Value Callee, uint32_t Argc, size_t ArgsBase,
       for (uint32_t I = 0; I != Argc; ++I)
         Stack[ArgsBase + I] =
             RT.applyTypeBased(Stack[ArgsBase + I], T->param(I), S->param(I), L);
-      Pending.push_back({nullptr, S->result(), T->result(), L});
+      RetStack.push_back({nullptr, S->result(), T->result(), L});
     }
     P = Stack[CalleeIdx].object(); // re-derive: conversions may have moved it
     Stack[CalleeIdx] = P->slot(0);
@@ -204,37 +208,64 @@ Value VM::resolveCallee(Value Callee, uint32_t Argc, size_t ArgsBase,
   return Stack[CalleeIdx];
 }
 
-void VM::appendRetCast(std::vector<RetCast> &Casts, const RetCast &RC) {
-  assert(ComposeReturns && "composed return casts are coercion-passing only");
-  // Runtime-typed pending entries (AppDyn's result cast) become their
-  // interned coercion so they can participate in composition; this is
-  // the same coercion doReturn would have built lazily.
-  const Coercion *New = RC.C ? RC.C : RT.internedCoercion(RC.S, RC.T, RC.L);
-  if (!Casts.empty()) {
-    // doReturn applies entries LIFO, so the existing top entry would run
-    // after anything appended: fold to "apply New, then the old top".
-    assert(Casts.back().C && "coercion-passing frame carried a typed cast");
-    New = RT.composeForReturn(New, Casts.back().C);
-    Casts.pop_back();
+void VM::pushPending(uint32_t FrameBase, size_t First) {
+  if (ComposeReturns && First != RetStack.size()) {
+    assert(First - FrameBase <= 1 && "coercion-passing frame held two casts");
+    const Coercion *Acc = First != FrameBase ? RetStack[FrameBase].C : nullptr;
+    for (size_t I = First; I != RetStack.size(); ++I) {
+      const RetCast &RC = RetStack[I];
+      const Coercion *New =
+          RC.C ? RC.C : RT.internedCoercion(RC.S, RC.T, RC.L);
+      // Return applies entries LIFO, so the frame's entry runs after
+      // anything added: fold to "apply New, then the frame's entry".
+      if (Acc)
+        New = RT.composeForReturn(New, Acc);
+      Acc = New->isId() ? nullptr : New;
+    }
+    RetStack.resize(FrameBase);
+    if (Acc)
+      RetStack.push_back({Acc, nullptr, nullptr, nullptr});
   }
-  if (!New->isId())
-    Casts.push_back({New, nullptr, nullptr, nullptr});
+  if (size_t Count = RetStack.size() - FrameBase)
+    RT.stats().noteRetCasts(Count);
 }
 
-void VM::doCall(uint32_t Argc, bool Tail, std::vector<RetCast> Pending) {
+inline bool VM::enterPlainClosure(uint32_t Argc, size_t First) {
+  size_t ArgsBase = Top - Argc;
+  Value Callee = Stack[ArgsBase - 1];
+  if (!Callee.isHeap())
+    return false;
+  const HeapObject *Object = Callee.object();
+  if (Object->kind() != ObjectKind::Closure)
+    return false;
+  const VMFunction &Target = Prog.Functions[Object->raw()];
+  if (Target.NumParams != Argc || Frames.size() >= FrameCap)
+    return false;
+  Frames.push_back({Target.Code.data(), 0, static_cast<uint32_t>(ArgsBase),
+                    static_cast<uint32_t>(ArgsBase - 1),
+                    static_cast<uint32_t>(First), Callee});
+  if (First != RetStack.size()) // an AppDyn result cast
+    pushPending(static_cast<uint32_t>(First), First);
+  ensureStack(Target.NumLocals - Argc + 16);
+  std::fill_n(Stack.begin() + Top, Target.NumLocals - Argc, Value::unit());
+  Top += Target.NumLocals - Argc;
+  return true;
+}
+
+void VM::doCallSlow(uint32_t Argc, bool Tail, size_t First) {
   size_t ArgsBase = Top - Argc;
   size_t CalleeIdx = ArgsBase - 1;
-  Value Callee = resolveCallee(Stack[CalleeIdx], Argc, ArgsBase, Pending);
+  Value Callee = resolveCallee(Stack[CalleeIdx], Argc, ArgsBase);
   if (!Callee.isHeap() || Callee.object()->kind() != ObjectKind::Closure)
     trap("call of a non-function value");
-  uint32_t FnIdx = static_cast<uint32_t>(Callee.object()->raw());
-  const VMFunction &Target = Prog.Functions[FnIdx];
+  const VMFunction &Target = Prog.Functions[Callee.object()->raw()];
   if (Target.NumParams != Argc)
     trap("arity mismatch calling " + Target.Name + ": expected " +
          std::to_string(Target.NumParams) + " arguments, got " +
          std::to_string(Argc));
   Stack[CalleeIdx] = Callee;
 
+  uint32_t FrameBase;
   if (Tail) {
     Frame &Cur = Frames.back();
     // Slide callee + args down over the current frame's window.
@@ -242,54 +273,36 @@ void VM::doCall(uint32_t Argc, bool Tail, std::vector<RetCast> Pending) {
     for (uint32_t I = 0; I != Argc + 1; ++I)
       Stack[Dst + I] = Stack[CalleeIdx + I];
     Top = Dst + 1 + Argc;
-    Cur.Func = FnIdx;
+    Cur.Code = Target.Code.data();
     Cur.PC = 0;
     Cur.Base = static_cast<uint32_t>(Dst + 1);
     Cur.Clos = Callee;
-    // The space-efficiency fork: stacked, n proxied tail calls grow the
-    // reused frame's pending list Θ(n); composed (coercion-passing
-    // style), the frame keeps at most one entry.
-    if (ComposeReturns)
-      for (const RetCast &RC : Pending)
-        appendRetCast(Cur.RetCasts, RC);
-    else
-      for (const RetCast &RC : Pending)
-        Cur.RetCasts.push_back(RC);
-    if (!Cur.RetCasts.empty())
-      RT.stats().noteRetCasts(Cur.RetCasts.size());
+    // The reused frame keeps its entries; this call's sit on top of them.
+    FrameBase = Cur.RetBase;
   } else {
     if (Frames.size() >= FrameCap)
       throw RuntimeError{ErrorKind::StackOverflow, "",
                          "call depth exceeded " + std::to_string(FrameCap) +
                              " frames"};
-    Frame NF;
-    NF.Func = FnIdx;
-    NF.PC = 0;
-    NF.Base = static_cast<uint32_t>(ArgsBase);
-    NF.CalleeSlot = static_cast<uint32_t>(CalleeIdx);
-    NF.Clos = Callee;
-    if (ComposeReturns)
-      for (const RetCast &RC : Pending)
-        appendRetCast(NF.RetCasts, RC);
-    else
-      NF.RetCasts = std::move(Pending);
-    if (!NF.RetCasts.empty())
-      RT.stats().noteRetCasts(NF.RetCasts.size());
-    Frames.push_back(std::move(NF));
+    FrameBase = static_cast<uint32_t>(First);
+    Frames.push_back({Target.Code.data(), 0, static_cast<uint32_t>(ArgsBase),
+                      static_cast<uint32_t>(CalleeIdx), FrameBase, Callee});
   }
+  pushPending(FrameBase, First);
   ensureStack(Target.NumLocals - Argc + 16);
   for (uint32_t I = Argc; I != Target.NumLocals; ++I)
     push(Value::unit());
 }
 
-void VM::doReturn() {
+void VM::doReturnSlow() {
   Value Result = pop();
-  Frame &Cur = Frames.back();
-  for (size_t I = Cur.RetCasts.size(); I-- > 0;) {
-    const RetCast &RC = Cur.RetCasts[I];
+  const Frame &Cur = Frames.back();
+  for (size_t I = RetStack.size(); I-- > Cur.RetBase;) {
+    const RetCast &RC = RetStack[I];
     Result = RC.C ? RT.applyCoercion(Result, RC.C)
-                  : RT.castRuntime(Result, RC.S, RC.T, RC.L);
+                  : castRuntime(Result, RC.S, RC.T, RC.L, nullptr);
   }
+  RetStack.resize(Cur.RetBase);
   Top = Cur.CalleeSlot;
   Frames.pop_back();
   push(Result);
@@ -318,7 +331,7 @@ void VM::doReturn() {
       BatchLeft = StepBatch;                                                   \
     }                                                                          \
     FP = &Frames.back();                                                       \
-    I = Prog.Functions[FP->Func].Code[FP->PC++];                               \
+    I = FP->Code[FP->PC++];                                                    \
   } while (0)
 
 #define VM_FUSED_STEP()                                                        \
@@ -351,14 +364,10 @@ void VM::doReturn() {
 #endif
 
 Value VM::execute() {
-  Frame Main;
-  Main.Func = Prog.MainFunction;
-  Main.PC = 0;
-  Main.Base = 0;
-  Main.CalleeSlot = 0;
-  Frames.push_back(Main);
-  ensureStack(Prog.Functions[Main.Func].NumLocals + 16);
-  for (uint32_t I = 0; I != Prog.Functions[Main.Func].NumLocals; ++I)
+  const VMFunction &Main = Prog.Functions[Prog.MainFunction];
+  Frames.push_back({Main.Code.data(), 0, 0, 0, 0, Value()});
+  ensureStack(Main.NumLocals + 16);
+  for (uint32_t I = 0; I != Main.NumLocals; ++I)
     push(Value::unit());
 
   uint32_t BatchLeft = StepBatch;
@@ -498,15 +507,23 @@ Value VM::execute() {
     VM_NEXT();
   }
   VM_CASE(Call) {
-    doCall(static_cast<uint32_t>(I.A), /*Tail=*/false, {});
+    doCall(static_cast<uint32_t>(I.A), /*Tail=*/false);
     VM_NEXT();
   }
   VM_CASE(TailCall) {
-    doCall(static_cast<uint32_t>(I.A), /*Tail=*/true, {});
+    doCall(static_cast<uint32_t>(I.A), /*Tail=*/true);
     VM_NEXT();
   }
   VM_CASE(Return) {
-    doReturn();
+    if (RetStack.size() == FP->RetBase) {
+      // No pending return casts: pop the frame inline.
+      Value Result = Stack[Top - 1];
+      Top = FP->CalleeSlot;
+      Frames.pop_back();
+      Stack[Top++] = Result;
+    } else {
+      doReturnSlow();
+    }
     VM_NEXT();
   }
   VM_CASE(Halt) {
@@ -543,7 +560,9 @@ Value VM::execute() {
   }
   VM_CASE(Cast) {
     Value V = Stack[Top - 1];
-    Stack[Top - 1] = RT.applyCast(V, Prog.Casts[I.A], &CastIC[I.A]);
+    Stack[Top - 1] =
+        CoercionCasts ? RT.applyCoercionCast(V, Prog.Casts[I.A], &CastIC[I.A])
+                      : RT.applyCast(V, Prog.Casts[I.A], &CastIC[I.A]);
     VM_NEXT();
   }
   VM_CASE(Prim) {
@@ -578,9 +597,9 @@ Value VM::execute() {
                                T->str());
     Value Tup = RT.dynUnwrap(V);
     Value Element = Tup.object()->slot(Index);
-    Stack[Top - 1] = RT.castRuntime(Element, T->element(Index),
-                                    RT.typeContext().dyn(), Site.Label,
-                                    &SiteIC[I.B]);
+    Stack[Top - 1] = castRuntime(Element, T->element(Index),
+                                 RT.typeContext().dyn(), Site.Label,
+                                 &SiteIC[I.B]);
     VM_NEXT();
   }
   VM_CASE(BoxNew) {
@@ -643,8 +662,13 @@ Value VM::execute() {
       RT.blame(Site.Label, "unbox of a value of type " + T->str());
     Value Inner = RT.dynUnwrap(V);
     Stack[Top - 1] = Inner; // keep rooted during the read + cast
-    Stack[Top - 1] = RT.backend().dynBoxRead(Inner, T->inner(), Site.Label,
-                                             &SiteIC[I.A]);
+    if (CoercionCasts)
+      Stack[Top - 1] = RT.coerceRuntime(RT.boxRead(Inner), T->inner(),
+                                        RT.typeContext().dyn(), Site.Label,
+                                        &SiteIC[I.A]);
+    else
+      Stack[Top - 1] = RT.backend().dynBoxRead(Inner, T->inner(), Site.Label,
+                                               &SiteIC[I.A]);
     VM_NEXT();
   }
   VM_CASE(BoxSetDyn) {
@@ -658,8 +682,14 @@ Value VM::execute() {
       RT.blame(Site.Label, "box-set! of a value of type " + T->str());
     Value Inner = RT.dynUnwrap(V);
     Stack[Top - 2] = Inner;
-    RT.backend().dynBoxWrite(Inner, Content, T->inner(), Site.Label,
-                             &SiteIC[I.A]);
+    if (CoercionCasts) {
+      Value Converted = RT.coerceRuntime(Content, RT.typeContext().dyn(),
+                                         T->inner(), Site.Label, &SiteIC[I.A]);
+      RT.boxWrite(Stack[Top - 2], Converted); // re-read: the cast can move it
+    } else {
+      RT.backend().dynBoxWrite(Inner, Content, T->inner(), Site.Label,
+                               &SiteIC[I.A]);
+    }
     Top -= 2;
     push(Value::unit());
     VM_NEXT();
@@ -731,9 +761,14 @@ Value VM::execute() {
       RT.blame(Site.Label, "vector-ref of a value of type " + T->str());
     Value Inner = RT.dynUnwrap(V);
     Stack[Top - 2] = Inner;
-    Value Result = RT.backend().dynVectorRef(Inner, Stack[Top - 1].asFixnum(),
-                                             T->inner(), Site.Label,
-                                             &SiteIC[I.A]);
+    int64_t Index = Stack[Top - 1].asFixnum();
+    Value Result =
+        CoercionCasts
+            ? RT.coerceRuntime(RT.vectorRef(Inner, Index), T->inner(),
+                               RT.typeContext().dyn(), Site.Label,
+                               &SiteIC[I.A])
+            : RT.backend().dynVectorRef(Inner, Index, T->inner(), Site.Label,
+                                        &SiteIC[I.A]);
     Top -= 2;
     push(Result);
     VM_NEXT();
@@ -769,9 +804,17 @@ Value VM::execute() {
       RT.blame(Site.Label, "vector-set! of a value of type " + T->str());
     Value Inner = RT.dynUnwrap(V);
     Stack[Top - 3] = Inner;
-    RT.backend().dynVectorSet(Inner, Stack[Top - 2].asFixnum(),
-                              Stack[Top - 1], T->inner(), Site.Label,
-                              &SiteIC[I.A]);
+    int64_t Index = Stack[Top - 2].asFixnum();
+    if (CoercionCasts) {
+      Value Converted =
+          RT.coerceRuntime(Stack[Top - 1], RT.typeContext().dyn(), T->inner(),
+                           Site.Label, &SiteIC[I.A]);
+      // Re-read: the cast can move the vector.
+      RT.vectorSet(Stack[Top - 3], Index, Converted);
+    } else {
+      RT.backend().dynVectorSet(Inner, Index, Stack[Top - 1], T->inner(),
+                                Site.Label, &SiteIC[I.A]);
+    }
     Top -= 3;
     push(Value::unit());
     VM_NEXT();
@@ -815,11 +858,13 @@ Value VM::execute() {
     const Type *Dyn = RT.typeContext().dyn();
     for (uint32_t J = 0; J != Argc; ++J)
       Stack[CalleeIdx + 1 + J] =
-          RT.castRuntime(Stack[CalleeIdx + 1 + J], Dyn, FT->param(J),
-                         Site.Label, &SiteIC[I.B]);
-    std::vector<RetCast> Pending;
-    Pending.push_back({nullptr, FT->result(), Dyn, Site.Label});
-    doCall(Argc, /*Tail=*/false, std::move(Pending));
+          castRuntime(Stack[CalleeIdx + 1 + J], Dyn, FT->param(J),
+                      Site.Label, &SiteIC[I.B]);
+    // The result comes back as FT's result type; the site expects Dyn.
+    size_t First = RetStack.size();
+    RetStack.push_back({nullptr, FT->result(), Dyn, Site.Label});
+    if (!enterPlainClosure(Argc, First))
+      doCallSlow(Argc, /*Tail=*/false, First);
     VM_NEXT();
   }
   VM_CASE(TimeStart) {
@@ -853,14 +898,14 @@ Value VM::execute() {
     push(Stack[FP->Base + I.A]);
     VM_FUSED_STEP();
     ++FP->PC;
-    doCall(static_cast<uint32_t>(I.B), /*Tail=*/false, {});
+    doCall(static_cast<uint32_t>(I.B), /*Tail=*/false);
     VM_NEXT();
   }
   VM_CASE(LocalGetTailCall) {
     push(Stack[FP->Base + I.A]);
     VM_FUSED_STEP();
     ++FP->PC;
-    doCall(static_cast<uint32_t>(I.B), /*Tail=*/true, {});
+    doCall(static_cast<uint32_t>(I.B), /*Tail=*/true);
     VM_NEXT();
   }
   VM_CASE(PushIntPrim) {

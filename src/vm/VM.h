@@ -3,8 +3,8 @@
 /// \file
 /// The bytecode interpreter. A stack machine whose calling convention is
 /// proxy-aware: calling through a proxy closure converts the arguments,
-/// records a pending result conversion on the frame, and proceeds with
-/// the underlying closure (paper Section 3.2, "Applying Functions" —
+/// records a pending result conversion on the return-cast side stack,
+/// and proceeds with the underlying closure (paper Section 3.2, "Applying Functions" —
 /// proxy closures share the plain-closure convention; only the pointer
 /// tag must be cleared).
 ///
@@ -51,7 +51,9 @@ public:
 private:
   /// A pending result conversion recorded when calling through a proxy
   /// or a Dyn application site. C is used in coercion mode; S/T/L in
-  /// type-based mode (and for runtime-typed Dyn results).
+  /// type-based mode (and for runtime-typed Dyn results). Every pointer
+  /// is immortal (interned coercions and types, blame labels), so the
+  /// side stack holding these needs no GC rooting.
   struct RetCast {
     const Coercion *C = nullptr;
     const Type *S = nullptr;
@@ -59,13 +61,16 @@ private:
     const std::string *L = nullptr;
   };
 
+  /// A call frame: plain words. Its pending return casts are the
+  /// RetStack entries from RetBase up to the next frame's RetBase (for
+  /// the top frame, up to the end of RetStack).
   struct Frame {
-    uint32_t Func = 0;
+    const Instr *Code = nullptr; // the running function's instructions
     uint32_t PC = 0;
     uint32_t Base = 0;       // stack index of local 0
     uint32_t CalleeSlot = 0; // stack index holding the callee value
+    uint32_t RetBase = 0;    // first RetStack entry of this frame
     Value Clos;              // closure providing FreeGet slots
-    std::vector<RetCast> RetCasts; // applied LIFO at Return
   };
 
   Runtime &RT;
@@ -74,12 +79,18 @@ private:
   /// the call paths branch on a bool instead of a virtual call:
   /// proxy closures carry coercions (all modes but type-based)...
   const bool CoercionCallProtocol;
-  /// ...and pending return coercions are composed into one explicit
-  /// per-frame coercion argument (coercion-passing style).
+  /// ...pending return coercions are composed into one explicit
+  /// per-frame coercion argument (coercion-passing style)...
   const bool ComposeReturns;
+  /// ...and casts take the default coercion path, so the cast sites use
+  /// Runtime's inline coercion entry points (coercions, coercion-passing).
+  const bool CoercionCasts;
   std::vector<Value> Stack;
   size_t Top = 0;
   std::vector<Frame> Frames;
+  /// Every frame's pending return casts, oldest frame first; each
+  /// frame's own entries are applied LIFO at its Return.
+  std::vector<RetCast> RetStack;
   std::vector<Value> Globals;
   std::string Output;
   std::string Input;
@@ -107,24 +118,53 @@ private:
     Stack[Top++] = V;
   }
   Value pop() { return Stack[--Top]; }
-  Value &peek(size_t FromTop = 0) { return Stack[Top - 1 - FromTop]; }
   void growStack();
   void ensureStack(size_t Extra);
 
+  /// Runtime::castRuntime, through the inline coercion path when the
+  /// backend's casts are coercions.
+  Value castRuntime(Value V, const Type *S, const Type *T,
+                    const std::string *Label, CoercionCache *IC) {
+    return CoercionCasts ? RT.castRuntimeCoercion(V, S, T, Label, IC)
+                         : RT.castRuntime(V, S, T, Label, IC);
+  }
+
   /// Unwraps function proxies at a call site: converts arguments in
-  /// place, appends pending result conversions, and returns the plain
-  /// closure. \p ArgsBase indexes the first argument on the stack.
-  Value resolveCallee(Value Callee, uint32_t Argc, size_t ArgsBase,
-                      std::vector<RetCast> &Pending);
+  /// place, pushes each proxy's pending result conversion onto RetStack,
+  /// and returns the plain closure. \p ArgsBase indexes the first
+  /// argument on the stack.
+  Value resolveCallee(Value Callee, uint32_t Argc, size_t ArgsBase);
 
-  /// Coercion-passing style: folds \p RC into \p Casts as a single
-  /// composed coercion entry (at most one per frame) instead of
-  /// stacking it. Runtime-typed entries are converted to their interned
-  /// coercion first so they compose.
-  void appendRetCast(std::vector<RetCast> &Casts, const RetCast &RC);
+  /// The return-cast policy. A call pushes its pending return casts onto
+  /// RetStack as it resolves them, from index \p First on; this adds
+  /// them to the frame whose entries start at \p FrameBase. Stacked,
+  /// they stay where they are, so n proxied tail calls grow the reused
+  /// frame's entries Θ(n). Composed (coercion-passing style), they fold
+  /// into the frame's single entry: runtime-typed entries become their
+  /// interned coercion, each is composed with the entry below, and an
+  /// identity result leaves the frame with none.
+  void pushPending(uint32_t FrameBase, size_t First);
 
-  void doCall(uint32_t Argc, bool Tail, std::vector<RetCast> Pending);
-  void doReturn();
+  /// The call fast path: when the callee below the \p Argc arguments is
+  /// a plain closure of the right arity and the frame cap is not
+  /// reached, pushes its frame (owning the pending return casts from
+  /// RetStack index \p First) and returns true. Otherwise changes
+  /// nothing and returns false.
+  bool enterPlainClosure(uint32_t Argc, size_t First);
+
+  /// Everything else: proxied callees, tail calls, arity and non-function
+  /// traps, and StackOverflow.
+  void doCallSlow(uint32_t Argc, bool Tail, size_t First);
+
+  /// A Call or TailCall instruction.
+  void doCall(uint32_t Argc, bool Tail) {
+    size_t First = RetStack.size();
+    if (Tail || !enterPlainClosure(Argc, First))
+      doCallSlow(Argc, Tail, First);
+  }
+
+  /// Return with pending return casts to apply.
+  void doReturnSlow();
   void doPrim(PrimOp Op);
 
   int64_t readIntFromInput();

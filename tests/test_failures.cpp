@@ -349,6 +349,20 @@ const char *DeepRecursion =
     "           (lambda ([n : Int]) : Int (+ 1 (f n)))])"
     "  (f 0))";
 
+/// The same recursion through a fully dynamic callee: every call is an
+/// AppDyn that records a pending Dyn result cast.
+const char *DeepDynRecursion =
+    "(define f : Dyn (lambda (n) (+ 1 (ann (f n) Int))))"
+    "(f 0)";
+
+/// The same recursion through a function cast to a proxy: every call
+/// converts its argument and records the proxy's pending result cast.
+const char *DeepProxiedRecursion =
+    "(letrec ([f : (Int -> Int)"
+    "           (lambda ([n : Int]) : Int"
+    "             (+ 1 ((ann f (Dyn -> Int)) n)))])"
+    "  (f 0))";
+
 /// A tail loop that retains an ever-growing chain of boxes, so live
 /// heap grows without bound while the stack stays flat.
 const char *HeapGrower =
@@ -414,12 +428,84 @@ TEST_F(ResourceLimitTest, FuelExhaustedOnDivergentLoop) {
 }
 
 TEST_F(ResourceLimitTest, StackOverflowOnDeepRecursion) {
+  // Every kind of callee, in every mode that accepts the program: the
+  // plain-closure call takes the VM's inline call path, the AppDyn and
+  // proxied calls its out-of-line one, and both must hit the frame cap.
   RunLimits Limits;
   Limits.MaxFrames = 1000;
-  RunResult R = runLimited(DeepRecursion, Limits);
-  ASSERT_FALSE(R.OK);
-  EXPECT_EQ(R.Error.Kind, ErrorKind::StackOverflow) << R.Error.str();
+  struct Case {
+    const char *Name;
+    const char *Source;
+  };
+  for (const Case &C : {Case{"plain", DeepRecursion},
+                        Case{"dyn", DeepDynRecursion},
+                        Case{"proxied", DeepProxiedRecursion}}) {
+    std::vector<CastMode> Modes(std::begin(GradualCastModes),
+                                std::end(GradualCastModes));
+    if (C.Source == DeepRecursion)
+      Modes.push_back(CastMode::Static);
+    for (CastMode Mode : Modes) {
+      RunResult R = runLimited(C.Source, Limits, nullptr, Mode);
+      ASSERT_FALSE(R.OK) << C.Name << " " << castModeName(Mode);
+      EXPECT_EQ(R.Error.Kind, ErrorKind::StackOverflow)
+          << C.Name << " " << castModeName(Mode) << ": " << R.Error.str();
+      expectStillUsable();
+    }
+  }
+}
+
+TEST_F(ResourceLimitTest, BlameUnwindsPendingReturnCasts) {
+  // Blame raised at the bottom of a recursion whose every frame holds
+  // pending return casts (from a proxy, and from an AppDyn call); the
+  // same Executable must then run cleanly.
+  static const char *Source = R"(
+(define f : (Int Int -> Int)
+  (lambda ([n : Int] [b : Int]) : Int
+    (if (= n 0)
+        (if (= b 1) (ann (ann #t Dyn) Int) 0)
+        (if (= (% n 2) 0)
+            (+ 1 (ann ((ann f (Dyn Dyn -> Dyn)) (- n 1) b) Int))
+            (+ 1 (ann ((ann f Dyn) (- n 1) b) Int))))))
+(define n : Int (read-int))
+(define b : Int (read-int))
+(f n b)
+)";
+  for (CastMode Mode : GradualCastModes) {
+    std::string Errors;
+    auto Exe = G.compile(Source, Mode, Errors);
+    ASSERT_TRUE(Exe.has_value()) << Errors;
+    RunResult Blamed = Exe->run("40 1");
+    ASSERT_FALSE(Blamed.OK) << castModeName(Mode);
+    EXPECT_EQ(Blamed.Error.Kind, ErrorKind::Blame)
+        << castModeName(Mode) << ": " << Blamed.Error.str();
+    RunResult Clean = Exe->run("40 0");
+    ASSERT_TRUE(Clean.OK) << castModeName(Mode) << ": " << Clean.Error.str();
+    EXPECT_EQ(Clean.ResultText, "40") << castModeName(Mode);
+  }
   expectStillUsable();
+}
+
+TEST_F(ResourceLimitTest, AppDynOfProxyPendingReturnCastShapes) {
+  // A non-tail AppDyn call of a proxied closure carries two pending
+  // return casts: the site's Dyn result cast and the proxy's result
+  // coercion. Stacked modes keep both on the frame; coercion-passing
+  // style composes them into one (here the Dyn => Dyn cast is the
+  // identity and drops out).
+  static const char *Source = R"(
+(define g : (Int -> Int) (lambda ([x : Int]) : Int (+ x 1)))
+(define p : (Dyn -> Dyn) g)
+(define d : Dyn p)
+(+ 1 (ann (d 5) Int))
+)";
+  for (CastMode Mode : GradualCastModes) {
+    RunResult R = run(Source, Mode);
+    ASSERT_TRUE(R.OK) << castModeName(Mode) << ": " << R.Error.str();
+    EXPECT_EQ(R.ResultText, "7") << castModeName(Mode);
+    if (Mode == CastMode::CoercionPassing)
+      EXPECT_LE(R.Stats.MaxRetCastsPerFrame, 1u);
+    else
+      EXPECT_EQ(R.Stats.MaxRetCastsPerFrame, 2u) << castModeName(Mode);
+  }
 }
 
 TEST_F(ResourceLimitTest, OutOfMemoryOnGrowingHeap) {
