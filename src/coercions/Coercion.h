@@ -47,10 +47,22 @@ enum class CoercionKind : uint8_t {
   Rec,      ///< μX. c — back-edge target for equirecursive casts
 };
 
+/// What applying a coercion takes, fixed when the node is interned, so
+/// the cast fast path switches on one byte instead of walking the node:
+///  * Identity — returns the value unchanged: ι, an atomic G!, and
+///    (ι ; G!) with atomic G (atomic values are their own Dyn encoding);
+///  * Project — T?ᵖ and (T?ᵖ ; ι): untag the value if its runtime type
+///    is exactly applyType(), otherwise take the general path;
+///  * General — everything else (allocation, proxies, blame, μ).
+enum class ApplyShape : uint8_t { General, Identity, Project };
+
 /// An immutable coercion node. Construct through CoercionFactory only.
 class Coercion {
 public:
   CoercionKind kind() const { return Kind; }
+  ApplyShape applyShape() const { return Shape; }
+  /// ApplyShape::Project: the type a Dyn value must carry to be untagged.
+  const Type *applyType() const { return ShapeTy; }
 
   bool isId() const { return Kind == CoercionKind::Id; }
   bool isFail() const { return Kind == CoercionKind::Fail; }
@@ -121,7 +133,9 @@ private:
   Coercion() = default;
 
   CoercionKind Kind = CoercionKind::Id;
+  ApplyShape Shape = ApplyShape::General;
   bool HasRec = false;
+  const Type *ShapeTy = nullptr;
   const Type *Ty = nullptr;
   const std::string *Label = nullptr;
   std::vector<const Coercion *> Parts;

@@ -82,8 +82,39 @@ const Coercion *CoercionFactory::intern(CoercionKind Kind, const Type *Ty,
   C->HasRec = Kind == CoercionKind::Rec;
   for (const Coercion *Part : C->Parts)
     C->HasRec |= Part->hasRec();
+  setApplyShape(C);
   Interner.emplace(std::move(K), C);
   return C;
+}
+
+void CoercionFactory::setApplyShape(Coercion *C) {
+  auto AtomicInject = [](const Coercion *D) {
+    return D->kind() == CoercionKind::Inject && D->type()->isAtomic();
+  };
+  switch (C->Kind) {
+  case CoercionKind::Id:
+    C->Shape = ApplyShape::Identity;
+    return;
+  case CoercionKind::Inject:
+    if (AtomicInject(C))
+      C->Shape = ApplyShape::Identity;
+    return;
+  case CoercionKind::Project:
+    C->Shape = ApplyShape::Project;
+    C->ShapeTy = C->Ty;
+    return;
+  case CoercionKind::Sequence:
+    if (C->first()->isId() && AtomicInject(C->second())) {
+      C->Shape = ApplyShape::Identity; // (ι ; G!)
+    } else if (C->first()->kind() == CoercionKind::Project &&
+               C->second()->isId()) {
+      C->Shape = ApplyShape::Project; // (T?ᵖ ; ι)
+      C->ShapeTy = C->first()->type();
+    }
+    return;
+  default:
+    return;
+  }
 }
 
 const Coercion *CoercionFactory::fail(std::string_view Label) {

@@ -174,6 +174,10 @@ private:
                          const std::string *Label,
                          std::vector<const Coercion *> Parts);
   Coercion *allocate();
+  /// Fixes \p C's ApplyShape from its kind and parts; intern calls it on
+  /// every node it creates, so every path into the factory (make,
+  /// compose, store loads) agrees.
+  static void setApplyShape(Coercion *C);
 
   // Normal-form smart constructors (shared by make and compose).
   // Reference coercions record their target reference type and blame

@@ -100,24 +100,21 @@ public:
                   CoercionCache *IC = nullptr);
 
   /// Applies a coercion (coercion mode). Counts one runtime cast. The
-  /// shapes that neither allocate nor consult a cache (Id, an atomic
-  /// Inject, a Project whose value already has the target type) return
-  /// inline; everything else goes through coerce.
+  /// node's apply shape, fixed at interning, picks the inline path: an
+  /// Identity shape returns the value, a Project shape untags a value
+  /// whose runtime type already matches; everything else, and a
+  /// projection that does not match, goes through coerce.
   Value applyCoercion(Value V, const Coercion *C,
                       CoercionCache *IC = nullptr) {
     ++Stats.CastsApplied;
-    switch (C->kind()) {
-    case CoercionKind::Id:
+    switch (C->applyShape()) {
+    case ApplyShape::Identity:
       return V;
-    case CoercionKind::Inject:
-      if (C->type()->isAtomic())
-        return V;
-      break;
-    case CoercionKind::Project:
-      if (runtimeTypeOf(V) == C->type())
+    case ApplyShape::Project:
+      if (runtimeTypeOf(V) == C->applyType())
         return dynUnwrap(V);
       break;
-    default:
+    case ApplyShape::General:
       break;
     }
     return coerce(V, C, IC);

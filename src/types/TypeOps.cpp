@@ -205,6 +205,9 @@ private:
 } // namespace
 
 bool grift::consistent(TypeContext &Ctx, const Type *A, const Type *B) {
+  // The common answers need no assumption set.
+  if (A == B || A->isDyn() || B->isDyn())
+    return true;
   PairSet Assumed;
   return consistentImpl(Ctx, A, B, Assumed);
 }

@@ -110,6 +110,48 @@ TEST_F(CoercionTest, MakeIsInterned) {
   EXPECT_EQ(mk("Int", "Dyn", "x"), mk("Int", "Dyn", "y"));
 }
 
+TEST_F(CoercionTest, ApplyShapesOfNormalForms) {
+  // Identity: nothing to do at run time, atomic values are their own Dyn
+  // encoding.
+  EXPECT_EQ(F.id()->applyShape(), ApplyShape::Identity);
+  EXPECT_EQ(F.inject(Types.integer())->applyShape(), ApplyShape::Identity);
+  EXPECT_EQ(mk("Int", "Dyn")->applyShape(), ApplyShape::Identity);
+  EXPECT_EQ(mk("Float", "Dyn")->applyShape(), ApplyShape::Identity);
+
+  // Project(T): a runtime type check, then untag.
+  const Coercion *Prj = mk("Dyn", "Int");
+  EXPECT_EQ(Prj->applyShape(), ApplyShape::Project);
+  EXPECT_EQ(Prj->applyType(), Types.integer());
+  const Coercion *Bare = F.project(Types.boolean(), "p");
+  EXPECT_EQ(Bare->applyShape(), ApplyShape::Project);
+  EXPECT_EQ(Bare->applyType(), Types.boolean());
+  const Coercion *FunPrj = mk("Dyn", "(Int -> Int)");
+  EXPECT_EQ(FunPrj->applyShape(), ApplyShape::Project);
+  EXPECT_EQ(FunPrj->applyType(), ty("(Int -> Int)"));
+
+  // General: injecting a non-atomic value allocates a DynBox.
+  EXPECT_EQ(mk("(Int -> Int)", "Dyn")->applyShape(), ApplyShape::General);
+  EXPECT_EQ(F.inject(ty("(Int -> Int)"))->applyShape(), ApplyShape::General);
+  EXPECT_EQ(mk("(Int -> Dyn)", "(Dyn -> Dyn)")->applyShape(),
+            ApplyShape::General);
+  EXPECT_EQ(mk("(Ref Int)", "(Ref Dyn)")->applyShape(), ApplyShape::General);
+  EXPECT_EQ(mk("(Tuple Int Dyn)", "(Tuple Dyn Int)")->applyShape(),
+            ApplyShape::General);
+  EXPECT_EQ(mk("Int", "Bool")->applyShape(), ApplyShape::General);
+  EXPECT_EQ(mk("(Rec s (Tuple Int (-> s)))", "(Rec s (Tuple Dyn (-> s)))")
+                ->applyShape(),
+            ApplyShape::General);
+  // A projection sequence whose tail does work: (Int?ᵖ ; (ι ; Int!)).
+  const Coercion *Round = F.compose(mk("Dyn", "Int"), mk("Int", "Dyn"));
+  ASSERT_TRUE(Round->isProjectSeq());
+  ASSERT_FALSE(Round->second()->isId());
+  EXPECT_EQ(Round->applyShape(), ApplyShape::General);
+  const Coercion *PrjFun =
+      F.compose(mk("Dyn", "(Int -> Dyn)"), mk("(Int -> Dyn)", "(Int -> Int)"));
+  ASSERT_TRUE(PrjFun->isProjectSeq());
+  EXPECT_EQ(PrjFun->applyShape(), ApplyShape::General);
+}
+
 TEST_F(CoercionTest, RecursiveCoercionTiesKnot) {
   const Coercion *C = mk("(Rec s (Tuple Int (-> s)))",
                          "(Rec s (Tuple Dyn (-> s)))");

@@ -264,6 +264,83 @@ TEST_F(StoreTest, ZeroNewNodesAfterLoad) {
   }
 }
 
+TEST_F(StoreTest, LoadedCoercionsKeepApplyShapes) {
+  // Loading re-interns every node, so each one gets its apply shape
+  // again: walk the fresh and the loaded cast tables the same way and
+  // compare each node's kind, shape and shape type.
+  auto Shapes = [](const VMProgram &Prog) {
+    std::vector<std::string> Out;
+    std::vector<const Coercion *> Work, Seen;
+    for (const CastDescriptor &D : Prog.Casts)
+      if (D.C)
+        Work.push_back(D.C);
+    while (!Work.empty()) {
+      const Coercion *C = Work.back();
+      Work.pop_back();
+      if (std::find(Seen.begin(), Seen.end(), C) != Seen.end())
+        continue;
+      Seen.push_back(C);
+      Out.push_back(std::to_string(static_cast<int>(C->kind())) + "/" +
+                    std::to_string(static_cast<int>(C->applyShape())) + "/" +
+                    (C->applyType() ? C->applyType()->str() : "-"));
+      switch (C->kind()) {
+      case CoercionKind::Sequence:
+      case CoercionKind::RefC:
+        Work.insert(Work.end(), {C->first(), C->second()});
+        break;
+      case CoercionKind::Fun:
+        for (size_t I = 0; I != C->arity(); ++I)
+          Work.push_back(C->arg(I));
+        Work.push_back(C->result());
+        break;
+      case CoercionKind::TupleC:
+        for (size_t I = 0; I != C->tupleSize(); ++I)
+          Work.push_back(C->element(I));
+        break;
+      case CoercionKind::Rec:
+        Work.push_back(C->body());
+        break;
+      default:
+        break;
+      }
+    }
+    return Out;
+  };
+  const char *Atomic = R"(
+(define f : (Dyn -> Dyn) (lambda ([x : Int]) (+ x 1)))
+(define d : Dyn (ann 41 Dyn))
+(define b : Bool (ann (ann #t Dyn) Bool))
+(if b (f (ann d Int)) 0)
+)";
+  for (const char *Source : {Atomic, MuRoundTrip}) {
+    Grift Fresh;
+    std::string Errors;
+    auto Exe = Fresh.compile(Source, CastMode::Coercions, Errors);
+    ASSERT_TRUE(Exe.has_value()) << Errors;
+    Store S = makeStore();
+    uint64_t Key = Store::key(Source, CastMode::Coercions, false);
+    ASSERT_TRUE(S.put(Key, Exe->program()));
+
+    Grift G;
+    VMProgram Prog;
+    ASSERT_TRUE(S.load(Key, G.types(), G.coercions(), Prog));
+    std::vector<std::string> Before = Shapes(Exe->program());
+    EXPECT_EQ(Shapes(Prog), Before) << Source;
+    if (Source != Atomic)
+      continue;
+    // The atomic program's casts reach every shape.
+    for (ApplyShape Shape : {ApplyShape::General, ApplyShape::Identity,
+                             ApplyShape::Project}) {
+      std::string Tag = "/" + std::to_string(static_cast<int>(Shape)) + "/";
+      EXPECT_TRUE(std::any_of(Before.begin(), Before.end(),
+                              [&](const std::string &Node) {
+                                return Node.find(Tag) != std::string::npos;
+                              }))
+          << Tag;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Corruption matrix: every fault is a counted miss, never UB
 //===----------------------------------------------------------------------===//

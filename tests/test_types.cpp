@@ -138,6 +138,12 @@ TEST_F(TypesTest, ConsistencyStructural) {
 
 TEST_F(TypesTest, ConsistencyEquirecursive) {
   const Type *S = parse("(Rec s (Tuple Int (-> s)))");
+  // Equal types and Dyn on either side answer before any unfolding.
+  EXPECT_TRUE(consistent(Ctx, S, S));
+  EXPECT_TRUE(consistent(Ctx, Ctx.dyn(), S));
+  EXPECT_TRUE(consistent(Ctx, S, Ctx.dyn()));
+  // An atomic type clashes with the unfolded tuple.
+  EXPECT_FALSE(consistent(Ctx, S, Ctx.integer()));
   // A recursive type is consistent with its own unfolding.
   EXPECT_TRUE(consistent(Ctx, S, Ctx.unfold(S)));
   // And with a less precise variant.

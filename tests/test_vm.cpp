@@ -282,6 +282,38 @@ TEST_F(VMTest, ProjectionBlameCarriesLocation) {
   EXPECT_EQ(R2.Error.Label, "1:22");
 }
 
+TEST_F(VMTest, ProjectionShapedCastOfAnotherType) {
+  // (T?ᵖ ; ι) applied to a Dyn value whose runtime type is not T leaves
+  // the inline path: a consistent type converts, an inconsistent one
+  // blames the site. Either way the cast counts once per application.
+  auto Loop = [](int N) {
+    return "(define t : Dyn (tuple 1 2))\n"
+           "(repeat (i 0 " + std::to_string(N) + ") (acc : Int 0)\n"
+           "  (+ acc (tuple-proj (ann t (Tuple Dyn Int)) 1)))";
+  };
+  for (CastMode Mode : {CastMode::Coercions, CastMode::CoercionPassing}) {
+    RunResult Short = runMode(Loop(10), Mode);
+    RunResult Long = runMode(Loop(30), Mode);
+    ASSERT_TRUE(Short.OK && Long.OK) << castModeName(Mode);
+    EXPECT_EQ(Long.ResultText, "60");
+    EXPECT_EQ(Long.Stats.CastsApplied - Short.Stats.CastsApplied, 20u)
+        << castModeName(Mode);
+
+    RunResult R = runMode("(define t : Dyn (tuple 1 2))\n"
+                          "(tuple-proj (ann t (Tuple Bool Int)) 1)",
+                          Mode);
+    ASSERT_FALSE(R.OK) << castModeName(Mode);
+    EXPECT_TRUE(R.Error.isBlame()) << R.Error.str();
+    EXPECT_EQ(R.Error.Label, "2:13") << castModeName(Mode);
+    RunResult A = runMode("(define d : Dyn (ann #t Dyn))\n"
+                          "(+ 1 (ann d Int))",
+                          Mode);
+    ASSERT_FALSE(A.OK) << castModeName(Mode);
+    EXPECT_TRUE(A.Error.isBlame()) << A.Error.str();
+    EXPECT_EQ(A.Error.Label, "2:6") << castModeName(Mode);
+  }
+}
+
 TEST_F(VMTest, HigherOrderCastDefersBlame) {
   // Casting (Int -> Int) to (Dyn -> Dyn) succeeds; calling it with a
   // non-Int blames at the call.
