@@ -40,7 +40,7 @@ enum class CastMode {
   /// coercion argument instead of stacked, so a chain of proxied tail
   /// calls uses O(1) return-cast space per frame instead of Θ(n).
   /// Appended last: the serialized mode byte of every pre-existing mode
-  /// (store image key and meta, jobKey) keeps its value.
+  /// (store image key and meta) keeps its value.
   CoercionPassing,
 };
 

@@ -6,32 +6,26 @@
 ///
 ///   submit(JobSpec) -> std::future<JobResult>
 ///
-/// with, layered in this order per job:
+/// with, per job:
 ///
-///   1. circuit breaker — (source-hash, mode) pairs with a streak of
-///      resource failures are rejected before touching an engine;
-///   2. engine pool — one Grift per worker thread, per-slot compile
+///   1. engine pool — one Grift per worker thread, per-slot compile
 ///      cache, debug thread-affinity asserts;
-///   3. watchdog — jobs carrying a DeadlineNanos are preemptively
-///      cancelled from a separate thread via the RunLimits cancel token
-///      (ErrorKind::Cancelled) even if they never reach an in-band
-///      budget check;
-///   4. retry — transient OutOfMemory results are re-run on a fresh
-///      heap after capped exponential backoff, optionally with a raised
-///      heap budget.
+///   2. watchdog — jobs carrying a DeadlineNanos shorter than their
+///      wall budget are cancelled from a separate thread via the
+///      RunLimits cancel token (ErrorKind::Cancelled).
 ///
-/// Every failure mode ends in a JobResult; submit() never throws job
-/// errors and workers never die. The destructor drains queued jobs
-/// (running them, not dropping them) and joins all threads.
+/// A program's outcome is a function of (source, mode, input, limits),
+/// so every job runs exactly once and reports that run's verdict. Every
+/// failure mode ends in a JobResult; submit() never throws job errors
+/// and workers never die. The destructor drains queued jobs (running
+/// them, not dropping them) and joins all threads.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef GRIFT_SERVICE_EXECSERVICE_H
 #define GRIFT_SERVICE_EXECSERVICE_H
 
-#include "service/CircuitBreaker.h"
 #include "service/EnginePool.h"
 #include "service/Job.h"
-#include "service/RetryPolicy.h"
 #include "service/Watchdog.h"
 #include "store/Store.h"
 
@@ -48,8 +42,6 @@ namespace grift::service {
 struct ServiceConfig {
   /// Worker threads (= engine slots). 0 = hardware concurrency.
   unsigned Threads = 0;
-  RetryPolicy Retry;
-  BreakerConfig Breaker;
   /// Per-slot compile cache on/off (benchmarking cold-compile paths).
   bool CompileCache = true;
   /// Epoch cap on each slot's coercion arena: after a job, a slot whose
@@ -95,11 +87,9 @@ struct ServiceConfig {
 /// Monotonic counters, snapshot via ExecService::stats().
 struct ServiceStats {
   uint64_t JobsSubmitted = 0;
-  uint64_t JobsCompleted = 0; ///< includes failed and rejected jobs
-  uint64_t JobsRejected = 0;  ///< circuit breaker refusals
+  uint64_t JobsCompleted = 0; ///< finished by a worker, failures included
   uint64_t JobsShed = 0;      ///< overload sheds (queue depth bound)
   uint64_t DeadlineExpired = 0; ///< jobs expired in queue, never run
-  uint64_t Retries = 0;       ///< extra attempts across all jobs
   uint64_t WatchdogKills = 0; ///< deadline cancellations
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
@@ -144,7 +134,7 @@ private:
 
   void workerLoop(unsigned SlotIdx);
   JobResult executeJob(EnginePool::Slot &Slot, JobSpec &Spec,
-                       FaultInjector &Injector, RNG &Gen);
+                       FaultInjector &Injector);
 
   ServiceConfig Config;
   /// File-I/O fault schedule shared by every worker's store access; the
@@ -154,7 +144,6 @@ private:
   std::unique_ptr<store::Store> ProgStore;
   EnginePool Pool;
   Watchdog Dog;
-  CircuitBreaker Breaker;
 
   mutable std::mutex QueueM;
   std::condition_variable QueueCV;
@@ -163,7 +152,6 @@ private:
 
   std::atomic<uint64_t> Submitted{0};
   std::atomic<uint64_t> Completed{0};
-  std::atomic<uint64_t> RetryCount{0};
   std::atomic<uint64_t> Sheds{0};
   std::atomic<uint64_t> Expired{0};
   std::atomic<uint64_t> PeakQueue{0};

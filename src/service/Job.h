@@ -5,8 +5,8 @@
 /// everything needed to compile and run one program: source, cast mode,
 /// input, in-band resource budgets (RunLimits) and an out-of-band
 /// watchdog deadline. A JobResult is the structured outcome griftd
-/// serializes one line of: status, ErrorKind, retry count, and the
-/// wall/fuel/heap consumption snapshot from the run.
+/// serializes one line of: status, ErrorKind, and the wall/fuel/heap
+/// consumption snapshot from the run.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef GRIFT_SERVICE_JOB_H
@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace grift::service {
 
@@ -33,22 +32,22 @@ struct JobSpec {
   bool Optimize = false;
   std::string Input;  ///< words for read-int / read-char
   /// In-band budgets enforced by the engine itself. The Cancel field is
-  /// owned by the service (each attempt gets the pool slot's token); any
+  /// owned by the service (each run gets the pool slot's token); any
   /// caller-provided pointer is ignored.
   RunLimits Limits;
-  /// Out-of-band watchdog deadline per attempt, in nanoseconds of wall
-  /// time; 0 = no watchdog. Unlike Limits.MaxWallNanos this needs no
-  /// cooperation from the budget checks being reached: the watchdog
-  /// thread stores the cancel token and the run dies at the next
-  /// dispatch-batch boundary with ErrorKind::Cancelled.
+  /// Out-of-band watchdog deadline for the run, in nanoseconds of wall
+  /// time; 0 = no watchdog. The watchdog thread stores the cancel token
+  /// and the run dies at the next dispatch-batch boundary with
+  /// ErrorKind::Cancelled. It is armed only when it would fire strictly
+  /// before Limits.MaxWallNanos (after the QueueDeadline clamp), which
+  /// is polled at the same boundary and reports ErrorKind::Timeout.
   int64_t DeadlineNanos = 0;
   /// Absolute end-to-end deadline (steady clock), including time spent
   /// queued behind other jobs. Default-constructed = none. When set, the
   /// service (a) fails the job with ErrorKind::Timeout *without running
-  /// it* if it is already expired at dequeue, and (b) clamps both the
-  /// in-band MaxWallNanos and the out-of-band watchdog deadline of every
-  /// attempt to the time remaining — a request never outlives its
-  /// client's patience, no matter how deep the queue was.
+  /// it* if it is already expired at dequeue, and (b) clamps the run's
+  /// in-band MaxWallNanos to the time remaining — a request never
+  /// outlives its client's patience, no matter how deep the queue was.
   std::chrono::steady_clock::time_point QueueDeadline{};
 };
 
@@ -57,7 +56,7 @@ enum class JobStatus : uint8_t {
   Done,         ///< ran to completion; ResultText holds the value
   CompileError, ///< parse/check/compile failed; ErrorMessage holds why
   Failed,       ///< ran and failed; Kind/ErrorMessage describe the error
-  Rejected,     ///< not run at all: circuit open or load shed (see Kind)
+  Rejected,     ///< not run at all: shed under overload (see Kind)
 };
 
 inline const char *jobStatusName(JobStatus S) {
@@ -74,42 +73,22 @@ inline const char *jobStatusName(JobStatus S) {
   return "?";
 }
 
-/// Structured outcome of one job (all attempts included).
+/// Structured outcome of one job.
 struct JobResult {
   std::string Id;
   JobStatus Status = JobStatus::Failed;
   std::string ResultText;       ///< final value (Status == Done)
-  std::string Output;           ///< program output of the final attempt
+  std::string Output;           ///< program output
   ErrorKind Kind = ErrorKind::Trap; ///< valid when Failed or Rejected
   std::string ErrorMessage;     ///< human-readable failure description
-  uint32_t Attempts = 0;        ///< runs performed (0 when rejected)
-  uint32_t Retries = 0;         ///< Attempts - 1, capped at the policy
   bool CompileCacheHit = false; ///< compiled program came from the cache
-  int64_t WallNanos = 0;        ///< execution wall time, summed over attempts
-  uint64_t FuelUsed = 0;        ///< interpreter steps of the final attempt
-  size_t PeakHeapBytes = 0;     ///< heap high-water mark, final attempt
-  RuntimeStats Stats;           ///< runtime counters, final attempt
+  int64_t WallNanos = 0;        ///< execution wall time (0 when not run)
+  uint64_t FuelUsed = 0;        ///< interpreter steps (0 when not run)
+  size_t PeakHeapBytes = 0;     ///< heap high-water mark
+  RuntimeStats Stats;           ///< runtime counters
 
   bool ok() const { return Status == JobStatus::Done; }
 };
-
-/// Stable 64-bit key identifying (source, mode, optimize) — the unit the
-/// circuit breaker quarantines and the compile cache indexes. FNV-1a over
-/// the source with the mode/optimize folded in; a collision merely shares
-/// a breaker entry or cache slot with full-source verification at the
-/// cache, so it degrades accounting, never correctness.
-inline uint64_t jobKey(std::string_view Source, CastMode Mode,
-                       bool Optimize = false) {
-  uint64_t H = 1469598103934665603ull;
-  for (char C : Source) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ull;
-  }
-  H ^= static_cast<uint64_t>(Mode) + 1;
-  H *= 1099511628211ull;
-  H ^= Optimize ? 0x9e3779b9ull : 0;
-  return H;
-}
 
 } // namespace grift::service
 

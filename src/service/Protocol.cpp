@@ -84,8 +84,7 @@ std::string grift::service::protocol::renderResult(const JobResult &R,
     Out << ",\"error\":\"" << json::escape(R.ErrorMessage) << '"';
   if (!Reason.empty())
     Out << ",\"reason\":\"" << json::escape(Reason) << '"';
-  Out << ",\"attempts\":" << R.Attempts << ",\"retries\":" << R.Retries
-      << ",\"cache_hit\":" << (R.CompileCacheHit ? "true" : "false")
+  Out << ",\"cache_hit\":" << (R.CompileCacheHit ? "true" : "false")
       << ",\"wall_ms\":" << R.WallNanos / 1e6 << ",\"fuel\":" << R.FuelUsed
       << ",\"peak_heap\":" << R.PeakHeapBytes << ",\"casts\":"
       << R.Stats.CastsApplied << "}";

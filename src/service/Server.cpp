@@ -303,8 +303,7 @@ void Server::serveRequest(int Fd, const std::string &Payload) {
   }
 
   // Layer 5: deadline propagation. The absolute deadline covers queue
-  // wait + every attempt; the watchdog and wall budget are clamped to it
-  // inside ExecService.
+  // wait + the run; the wall budget is clamped to it inside ExecService.
   int64_t DeadlineNanos = Req.Spec.DeadlineNanos;
   if (DeadlineNanos <= 0)
     DeadlineNanos = Config.DefaultDeadlineNanos;
@@ -319,11 +318,9 @@ void Server::serveRequest(int Fd, const std::string &Payload) {
   if (Quota.enabled())
     Quota.complete(Tenant, Bytes, R.FuelUsed);
 
-  std::string Reason;
-  if (R.Status == JobStatus::Rejected)
-    Reason = R.ErrorMessage.rfind("circuit", 0) == 0 ? "circuit-open"
-                                                     : "overloaded:queue";
-  respond(Fd, renderResult(R, Reason));
+  respond(Fd, renderResult(R, R.Status == JobStatus::Rejected
+                                  ? "overloaded:queue"
+                                  : ""));
 }
 
 ServerStats Server::stats() const {
@@ -353,12 +350,10 @@ std::string Server::renderStats() const {
       << ",\"quota_rejects\":" << S.Quota.Rejects
       << ",\"quota_rate_rejects\":" << S.Quota.RateRejects
       << ",\"quota_fuel_rejects\":" << S.Quota.FuelRejects
-      << ",\"breaker_rejects\":" << S.Exec.JobsRejected
       << ",\"watchdog_kills\":" << S.Exec.WatchdogKills
       << ",\"deadline_expired\":" << S.Exec.DeadlineExpired
       << ",\"jobs_submitted\":" << S.Exec.JobsSubmitted
       << ",\"jobs_completed\":" << S.Exec.JobsCompleted
-      << ",\"retries\":" << S.Exec.Retries
       << ",\"cache_hits\":" << S.Exec.CacheHits
       << ",\"cache_misses\":" << S.Exec.CacheMisses
       << ",\"epoch_resets\":" << S.Exec.EpochResets

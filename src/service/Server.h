@@ -15,10 +15,9 @@
 ///   4. global admission (service/Admission.h) — inflight request and
 ///      byte budgets, so no mix of tenants can OOM the process;
 ///   5. deadline propagation — every request gets an absolute deadline
-///      (its deadline_ms or the server default) that clamps queue wait,
-///      the in-band wall budget, and the watchdog together;
-///   6. the hardened ExecService underneath (pool, breaker, watchdog,
-///      retry).
+///      (its deadline_ms or the server default) that clamps queue wait
+///      and the in-band wall budget together;
+///   6. the hardened ExecService underneath (queue bound, engine pool).
 ///
 /// Load shedding is always a structured response (ErrorKind::Overloaded
 /// plus a "reason"), never silence, and never an unbounded queue.

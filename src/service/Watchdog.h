@@ -11,9 +11,10 @@
 ///
 /// The thread sleeps until the *earliest* registered deadline, so kill
 /// latency is bounded by the engine's check cadence (microseconds), not
-/// by a polling period. Unlike RunLimits::MaxWallNanos — which a job
-/// wedged outside the dispatch loop might never reach — the decision to
-/// cancel is made on a healthy thread.
+/// by a polling period. The token is polled at the same batch boundary
+/// as RunLimits::MaxWallNanos (VM::checkBudgets), so the watchdog covers
+/// nothing the wall budget misses; what it adds is a distinct verdict,
+/// Cancelled, for a kill decided outside the run.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef GRIFT_SERVICE_WATCHDOG_H

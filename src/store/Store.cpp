@@ -24,7 +24,7 @@ namespace {
 /// request-sized program is a few KiB to a few MiB).
 constexpr uint64_t MaxImageBytes = 1ull << 30;
 
-/// FNV-1a, the same construction Job::jobKey uses.
+/// FNV-1a over \p Size bytes, continuing from \p Hash.
 uint64_t fnv1a(uint64_t Hash, const void *Data, size_t Size) {
   const auto *P = static_cast<const uint8_t *>(Data);
   for (size_t I = 0; I != Size; ++I) {

@@ -2,11 +2,11 @@
 ///
 /// \file
 /// The hardened execution service: engine pool with per-slot compile
-/// caches, watchdog cancellation, retry/backoff, circuit breaker — and
-/// the concurrency guarantees they compose into: a wedged job can always
-/// be killed from outside, its pool thread is immediately reusable, and
-/// error outcomes are deterministic per (program, limits) even under an
-/// 8-thread mixed-soup load.
+/// caches, watchdog cancellation, one run per job — and the concurrency
+/// guarantees they compose into: a wedged job can always be killed from
+/// outside, its pool thread is immediately reusable, and error outcomes
+/// are deterministic per (program, limits) even under an 8-thread
+/// mixed-soup load.
 ///
 //===----------------------------------------------------------------------===//
 #include "service/ExecService.h"
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <set>
 #include <thread>
 
 using namespace grift;
@@ -60,12 +59,11 @@ TEST(ServicePool, RunsManyJobsAcrossThreads) {
     JobResult R = Futures[I].get();
     ASSERT_EQ(R.Status, JobStatus::Done) << R.ErrorMessage;
     EXPECT_EQ(R.ResultText, std::to_string(I + 1));
-    EXPECT_EQ(R.Attempts, 1u);
   }
   ServiceStats S = Service.stats();
   EXPECT_EQ(S.JobsSubmitted, 64u);
   EXPECT_EQ(S.JobsCompleted, 64u);
-  EXPECT_EQ(S.JobsRejected, 0u);
+  EXPECT_EQ(S.JobsShed, 0u);
 }
 
 TEST(ServicePool, CompileErrorsAreReportedNotCrashes) {
@@ -186,11 +184,7 @@ TEST(ServiceWatchdog, KillsWedgedJobsAndPoolThreadsStayUsable) {
 
   std::vector<std::future<JobResult>> Futures;
   for (int I = 0; I != 20; ++I) {
-    // Distinct sources so the circuit breaker (keyed per program) never
-    // quarantines them into rejections mid-test.
-    JobSpec Spec = simpleJob("(letrec ([loop (lambda () (loop))]) (+ " +
-                                 std::to_string(I) + " (loop)))",
-                             "wedged-" + std::to_string(I));
+    JobSpec Spec = simpleJob(DivergentLoop, "wedged-" + std::to_string(I));
     Spec.DeadlineNanos = DeadlineNanos;
     Futures.push_back(Service.submit(std::move(Spec)));
   }
@@ -206,7 +200,6 @@ TEST(ServiceWatchdog, KillsWedgedJobsAndPoolThreadsStayUsable) {
     // Killed within 2x the deadline (the cancel lands one dispatch
     // batch after the watchdog fires — microseconds, not a margin).
     EXPECT_LT(R.WallNanos, 2 * DeadlineNanos) << R.Id;
-    EXPECT_EQ(R.Attempts, 1u) << "cancellation must not be retried";
   }
   for (int I = 20; I != 40; ++I) {
     JobResult R = Futures[I].get();
@@ -217,258 +210,65 @@ TEST(ServiceWatchdog, KillsWedgedJobsAndPoolThreadsStayUsable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Retry / backoff
+// One run, one verdict: a failed job is reported as it failed, never
+// re-run with a raised budget.
 //===----------------------------------------------------------------------===//
 
-TEST(ServiceRetry, BackoffIsCappedExponential) {
-  RetryPolicy P;
-  P.InitialBackoffNanos = 1000;
-  P.BackoffMultiplier = 4.0;
-  P.MaxBackoffNanos = 10000;
-  EXPECT_EQ(P.backoffNanos(1), 1000);
-  EXPECT_EQ(P.backoffNanos(2), 4000);
-  EXPECT_EQ(P.backoffNanos(3), 10000); // capped (16000 -> 10000)
-  EXPECT_EQ(P.backoffNanos(10), 10000);
-}
-
-TEST(ServiceRetry, DecorrelatedJitterStaysInBoundsAndSpreads) {
-  RetryPolicy P;
-  P.InitialBackoffNanos = 1000;
-  P.MaxBackoffNanos = 27000;
-  ASSERT_TRUE(P.DecorrelatedJitter);
-
-  // Per-sequence invariants: retry 0 sleeps 0; every later sleep lies in
-  // [base, min(cap, 3 * previous)] and never exceeds the cap, no matter
-  // how long the sequence runs.
-  RNG Gen(7);
-  int64_t Prev = 0;
-  EXPECT_EQ(P.jitteredBackoffNanos(0, Prev, Gen), 0);
-  int64_t Bound = 3000; // 3 * base
-  for (uint32_t Retry = 1; Retry != 64; ++Retry) {
-    int64_t Sleep = P.jitteredBackoffNanos(Retry, Prev, Gen);
-    EXPECT_GE(Sleep, 1000) << "retry " << Retry;
-    EXPECT_LE(Sleep, std::min<int64_t>(Bound, 27000)) << "retry " << Retry;
-    Bound = Sleep * 3;
-  }
-
-  // Spread: distinct slots (distinct RNG seeds) must not sleep in
-  // lockstep — that thundering herd is what the jitter exists to break.
-  std::set<int64_t> FirstSleeps;
-  for (uint64_t Seed = 0; Seed != 64; ++Seed) {
-    RNG G(Seed);
-    int64_t Pv = 0;
-    FirstSleeps.insert(P.jitteredBackoffNanos(1, Pv, G));
-  }
-  EXPECT_GT(FirstSleeps.size(), 16u) << "64 seeds collapsed onto few sleeps";
-  EXPECT_GT(*FirstSleeps.rbegin() - *FirstSleeps.begin(), 500)
-      << "samples span too little of [base, 3*base]";
-
-  // Disabling the jitter falls back to the deterministic schedule.
-  P.DecorrelatedJitter = false;
-  RNG G2(7);
-  int64_t Pv2 = 0;
-  EXPECT_EQ(P.jitteredBackoffNanos(2, Pv2, G2), P.backoffNanos(2));
-}
-
-TEST(ServiceRetry, TransientOOMRecoversWithRaisedBudget) {
-  // ~50k-entry vector needs ~400 KB live; a 256 KB budget OOMs, the
-  // retry doubles it to 512 KB and succeeds. Deterministic: heap
-  // accounting is exact and each attempt runs on a fresh heap.
+TEST(ServiceOOM, HeapBudgetHoldsAndTheJobRunsOnce) {
+  // A 50k-entry vector needs ~400 KB live, so a 256 KiB budget OOMs at
+  // once; the heap grower fills the budget first. Heap accounting is
+  // exact, so the one run the service makes must match a direct engine
+  // run at the same budget, step for step and byte for byte.
+  constexpr size_t Budget = 256 * 1024;
   ServiceConfig Config;
   Config.Threads = 1;
-  Config.Retry.MaxRetries = 2;
-  Config.Retry.HeapGrowthFactor = 2.0;
-  Config.Retry.InitialBackoffNanos = 0; // keep the test fast
   ExecService Service(Config);
-  JobSpec Spec = simpleJob("(vector-ref (make-vector 50000 7) 49999)");
-  Spec.Limits.MaxHeapBytes = 256 * 1024;
-  JobResult R = Service.run(std::move(Spec));
-  ASSERT_EQ(R.Status, JobStatus::Done) << R.ErrorMessage;
-  EXPECT_EQ(R.ResultText, "7");
-  EXPECT_EQ(R.Retries, 1u);
-  EXPECT_EQ(R.Attempts, 2u);
-  EXPECT_EQ(Service.stats().Retries, 1u);
+  for (const char *Source :
+       {"(vector-ref (make-vector 50000 7) 49999)", HeapGrower}) {
+    RunLimits Limits;
+    Limits.MaxHeapBytes = Budget;
+    Limits.MaxSteps = 100000000; // backstop
+    JobSpec Spec = simpleJob(Source);
+    Spec.Limits = Limits;
+    JobResult R = Service.run(std::move(Spec));
+    ASSERT_EQ(R.Status, JobStatus::Failed) << Source << ": " << R.ResultText;
+    EXPECT_EQ(R.Kind, ErrorKind::OutOfMemory) << R.ErrorMessage;
+    EXPECT_LE(R.PeakHeapBytes, Budget) << Source;
+
+    Grift G;
+    std::string Errors;
+    auto Exe = G.compile(Source, CastMode::Coercions, Errors);
+    ASSERT_TRUE(Exe.has_value()) << Errors;
+    RunResult Direct = Exe->run("", Limits);
+    ASSERT_FALSE(Direct.OK);
+    EXPECT_EQ(R.FuelUsed, Direct.Steps) << Source;
+    EXPECT_EQ(R.PeakHeapBytes, Direct.PeakHeapBytes) << Source;
+  }
+  EXPECT_EQ(Service.stats().JobsCompleted, 2u);
 }
 
-TEST(ServiceRetry, PersistentOOMExhaustsRetriesAndStaysOOM) {
+TEST(ServiceFaults, InjectedAllocFailureIsOneOOMAndTheSlotRecovers) {
+  // FailAllocPeriod fails the Nth allocation counted from the start of
+  // each run. The heap grower allocates without bound, so its run hits
+  // the injected failure; the next job on the same slot allocates
+  // nothing and completes.
   ServiceConfig Config;
   Config.Threads = 1;
-  Config.Retry.MaxRetries = 2;
-  Config.Retry.HeapGrowthFactor = 1.0; // no extra room: still transient?  no
-  Config.Retry.InitialBackoffNanos = 0;
+  Config.FailAllocPeriod = 64;
   ExecService Service(Config);
-  JobSpec Spec = simpleJob(HeapGrower);
-  Spec.Limits.MaxHeapBytes = 1 << 20;
-  Spec.Limits.MaxSteps = 100000000; // backstop
-  JobResult R = Service.run(std::move(Spec));
+  JobSpec Grower = simpleJob(HeapGrower, "grower");
+  Grower.Limits.MaxSteps = 100000000; // backstop
+  JobResult R = Service.run(std::move(Grower));
   ASSERT_EQ(R.Status, JobStatus::Failed);
-  EXPECT_EQ(R.Kind, ErrorKind::OutOfMemory);
-  EXPECT_EQ(R.Attempts, 3u); // 1 try + 2 retries
-  EXPECT_EQ(R.Retries, 2u);
-}
+  EXPECT_EQ(R.Kind, ErrorKind::OutOfMemory) << R.ErrorMessage;
+  EXPECT_NE(R.ErrorMessage.find("injected"), std::string::npos)
+      << R.ErrorMessage;
+  EXPECT_GT(R.WallNanos, 0);
 
-TEST(ServiceRetry, ProgramErrorsAreNeverRetried) {
-  ServiceConfig Config;
-  Config.Threads = 1;
-  ExecService Service(Config);
-  JobResult Blame = Service.run(simpleJob("(ann (ann #t Dyn) Int)"));
-  ASSERT_EQ(Blame.Status, JobStatus::Failed);
-  EXPECT_EQ(Blame.Kind, ErrorKind::Blame);
-  EXPECT_EQ(Blame.Attempts, 1u);
-  JobResult Trap = Service.run(simpleJob("(/ 1 0)"));
-  ASSERT_EQ(Trap.Status, JobStatus::Failed);
-  EXPECT_EQ(Trap.Kind, ErrorKind::Trap);
-  EXPECT_EQ(Trap.Attempts, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Circuit breaker
-//===----------------------------------------------------------------------===//
-
-TEST(ServiceBreaker, UnitOpenRejectHalfOpenClose) {
-  CircuitBreaker B({.FailureThreshold = 2, .CooldownNanos = 30'000'000});
-  const uint64_t Key = 42;
-  EXPECT_TRUE(B.admit(Key));
-  B.recordResourceFailure(Key);
-  EXPECT_TRUE(B.admit(Key));
-  B.recordResourceFailure(Key); // second consecutive: opens
-  EXPECT_FALSE(B.admit(Key));
-  EXPECT_EQ(B.rejections(), 1u);
-  EXPECT_EQ(B.openCircuits(), 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_TRUE(B.admit(Key)); // half-open probe
-  EXPECT_FALSE(B.admit(Key)); // only one probe at a time
-  B.recordSuccess(Key);       // probe succeeded: closed again
-  EXPECT_TRUE(B.admit(Key));
-  EXPECT_EQ(B.openCircuits(), 0u);
-}
-
-TEST(ServiceBreaker, QuarantinesPoisonProgram) {
-  ServiceConfig Config;
-  Config.Threads = 1; // sequential: the failure streak is deterministic
-  Config.Retry.MaxRetries = 0;
-  Config.Breaker.FailureThreshold = 3;
-  Config.Breaker.CooldownNanos = 60'000'000'000; // effectively forever
-  ExecService Service(Config);
-
-  JobSpec Poison = simpleJob(DivergentLoop);
-  Poison.Limits.MaxSteps = 100000; // deterministic FuelExhausted
-  for (int I = 0; I != 3; ++I) {
-    JobResult R = Service.run(Poison);
-    ASSERT_EQ(R.Status, JobStatus::Failed) << I;
-    EXPECT_EQ(R.Kind, ErrorKind::FuelExhausted);
-  }
-  // Circuit is now open: the same program is rejected without running...
-  JobResult Rejected = Service.run(Poison);
-  EXPECT_EQ(Rejected.Status, JobStatus::Rejected);
-  EXPECT_EQ(Rejected.Attempts, 0u);
-  EXPECT_GE(Service.stats().JobsRejected, 1u);
-  // ...while other programs are unaffected (no pool monopoly).
-  JobResult Fine = Service.run(simpleJob("(+ 2 2)"));
-  ASSERT_EQ(Fine.Status, JobStatus::Done);
-  EXPECT_EQ(Fine.ResultText, "4");
-}
-
-TEST(ServiceBreaker, HalfOpenProbeCanCloseTheCircuit) {
-  ServiceConfig Config;
-  Config.Threads = 1;
-  Config.Retry.MaxRetries = 0;
-  Config.Breaker.FailureThreshold = 2;
-  Config.Breaker.CooldownNanos = 50'000'000; // 50 ms
-  ExecService Service(Config);
-
-  // The breaker keys on (source, mode) — limits are not part of the
-  // key, so the same program with a healthier budget is the probe.
-  JobSpec Tight = simpleJob(DivergentLoop);
-  Tight.Limits.MaxSteps = 100000;
-  for (int I = 0; I != 2; ++I)
-    ASSERT_EQ(Service.run(Tight).Status, JobStatus::Failed);
-  EXPECT_EQ(Service.run(Tight).Status, JobStatus::Rejected);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  // Cooldown over: this submission is admitted as the half-open probe.
-  // It still diverges, so use fuel, but mark the *program error* path:
-  // a blame/trap-free completion closes the circuit. Use a program
-  // variant? No: same key requires same source. A bounded run is
-  // impossible for a divergent loop, so the probe fails and re-opens.
-  JobResult Probe = Service.run(Tight);
-  EXPECT_EQ(Probe.Status, JobStatus::Failed);
-  EXPECT_EQ(Probe.Kind, ErrorKind::FuelExhausted);
-  // Re-opened immediately (half-open failure), without needing a new
-  // streak of FailureThreshold.
-  EXPECT_EQ(Service.run(Tight).Status, JobStatus::Rejected);
-}
-
-TEST(ServiceBreaker, HalfOpenAdmitsExactlyOneProbeUnderRace) {
-  // N threads race admit() on a half-open circuit; the single-probe
-  // invariant must hold no matter the interleaving. Repeat the race to
-  // give TSan and the scheduler room to find an ordering that breaks it.
-  for (int Round = 0; Round != 20; ++Round) {
-    CircuitBreaker B({.FailureThreshold = 1, .CooldownNanos = 2'000'000});
-    const uint64_t Key = 7;
-    ASSERT_TRUE(B.admit(Key));
-    B.recordResourceFailure(Key); // opens
-    std::this_thread::sleep_for(std::chrono::milliseconds(5)); // cooldown over
-
-    constexpr int N = 16;
-    std::atomic<int> Ready{0}, Admitted{0};
-    std::atomic<bool> Go{false};
-    std::vector<std::thread> Threads;
-    for (int I = 0; I != N; ++I)
-      Threads.emplace_back([&] {
-        Ready.fetch_add(1);
-        while (!Go.load(std::memory_order_acquire))
-          ;
-        if (B.admit(Key))
-          Admitted.fetch_add(1);
-      });
-    while (Ready.load() != N)
-      ;
-    Go.store(true, std::memory_order_release);
-    for (std::thread &T : Threads)
-      T.join();
-    ASSERT_EQ(Admitted.load(), 1) << "round " << Round;
-    // The losers were counted as rejections; the probe's failure
-    // re-opens for a fresh cooldown and nobody else slips in.
-    EXPECT_EQ(B.rejections(), static_cast<uint64_t>(N - 1));
-    B.recordResourceFailure(Key);
-    EXPECT_FALSE(B.admit(Key));
-  }
-}
-
-TEST(ServiceBreaker, WatchdogKilledProbeReopensCircuit) {
-  // A half-open probe that the watchdog kills is a resource failure:
-  // the circuit must re-open for a fresh cooldown, not close or leak
-  // the probe slot.
-  ServiceConfig Config;
-  Config.Threads = 1;
-  Config.Retry.MaxRetries = 0;
-  Config.Breaker.FailureThreshold = 1;
-  Config.Breaker.CooldownNanos = 50'000'000; // 50 ms
-  ExecService Service(Config);
-
-  JobSpec Wedged = simpleJob(DivergentLoop);
-  Wedged.DeadlineNanos = 100 * 1000000ll; // watchdog, no in-band budget
-
-  JobResult First = Service.run(Wedged);
-  ASSERT_EQ(First.Status, JobStatus::Failed);
-  ASSERT_EQ(First.Kind, ErrorKind::Cancelled);
-
-  JobResult WhileOpen = Service.run(Wedged);
-  ASSERT_EQ(WhileOpen.Status, JobStatus::Rejected);
-  EXPECT_EQ(WhileOpen.Kind, ErrorKind::Overloaded);
-  EXPECT_EQ(WhileOpen.Attempts, 0u);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  JobResult Probe = Service.run(Wedged); // admitted as the single probe
-  ASSERT_EQ(Probe.Status, JobStatus::Failed);
-  EXPECT_EQ(Probe.Kind, ErrorKind::Cancelled);
-  EXPECT_EQ(Probe.Attempts, 1u);
-
-  // Re-opened by the killed probe: rejected again without a new streak.
-  JobResult AfterProbe = Service.run(Wedged);
-  EXPECT_EQ(AfterProbe.Status, JobStatus::Rejected);
-  EXPECT_GE(Service.stats().WatchdogKills, 2u);
+  JobResult Next = Service.run(simpleJob("(+ 1 2)", "next"));
+  ASSERT_EQ(Next.Status, JobStatus::Done) << Next.ErrorMessage;
+  EXPECT_EQ(Next.ResultText, "3");
+  EXPECT_EQ(Service.stats().JobsCompleted, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -478,7 +278,6 @@ TEST(ServiceBreaker, WatchdogKilledProbeReopensCircuit) {
 TEST(ServiceShed, QueueBoundShedsWithStructuredOverloaded) {
   ServiceConfig Config;
   Config.Threads = 1;
-  Config.Retry.MaxRetries = 0;
   Config.MaxQueueDepth = 2;
   ExecService Service(Config);
 
@@ -501,7 +300,8 @@ TEST(ServiceShed, QueueBoundShedsWithStructuredOverloaded) {
     JobResult R = Service.run(simpleJob("(+ 2 2)", "shed"));
     ASSERT_EQ(R.Status, JobStatus::Rejected) << I;
     EXPECT_EQ(R.Kind, ErrorKind::Overloaded);
-    EXPECT_EQ(R.Attempts, 0u);
+    EXPECT_EQ(R.FuelUsed, 0u);
+    EXPECT_EQ(R.WallNanos, 0);
     EXPECT_NE(R.ErrorMessage.find("overloaded"), std::string::npos);
   }
   ServiceStats S = Service.stats();
@@ -516,7 +316,6 @@ TEST(ServiceShed, QueueBoundShedsWithStructuredOverloaded) {
 TEST(ServiceShed, ExpiredQueueDeadlineFailsWithoutRunning) {
   ServiceConfig Config;
   Config.Threads = 1;
-  Config.Retry.MaxRetries = 0;
   ExecService Service(Config);
 
   JobSpec Busy = simpleJob(DivergentLoop, "busy");
@@ -524,26 +323,26 @@ TEST(ServiceShed, ExpiredQueueDeadlineFailsWithoutRunning) {
   auto BusyF = Service.submit(std::move(Busy));
 
   // This job's end-to-end deadline expires while it waits behind the
-  // wedged job: it must come back Timeout with zero attempts.
+  // wedged job: it must come back Timeout without having run.
   JobSpec Doomed = simpleJob("(+ 1 2)", "doomed");
   Doomed.QueueDeadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
   JobResult R = Service.run(std::move(Doomed));
   ASSERT_EQ(R.Status, JobStatus::Failed);
   EXPECT_EQ(R.Kind, ErrorKind::Timeout);
-  EXPECT_EQ(R.Attempts, 0u);
+  EXPECT_EQ(R.FuelUsed, 0u);
+  EXPECT_EQ(R.WallNanos, 0);
   EXPECT_NE(R.ErrorMessage.find("queue"), std::string::npos);
   EXPECT_EQ(Service.stats().DeadlineExpired, 1u);
   BusyF.get();
 }
 
 TEST(ServiceShed, QueueDeadlineClampsWatchdogForRunningJobs) {
-  // A divergent job with a tight QueueDeadline but *no* per-attempt
-  // deadline must still die: the clamp feeds the remaining time to the
-  // watchdog.
+  // A divergent job with a tight QueueDeadline but *no* DeadlineNanos
+  // must still die: the clamp feeds the remaining time to the in-band
+  // wall budget, and no watchdog races it for the verdict.
   ServiceConfig Config;
   Config.Threads = 1;
-  Config.Retry.MaxRetries = 0;
   ExecService Service(Config);
   JobSpec Spec = simpleJob(DivergentLoop);
   Spec.QueueDeadline =
@@ -552,11 +351,8 @@ TEST(ServiceShed, QueueDeadlineClampsWatchdogForRunningJobs) {
   JobResult R = Service.run(std::move(Spec));
   auto Elapsed = std::chrono::steady_clock::now() - Start;
   ASSERT_EQ(R.Status, JobStatus::Failed);
-  // Cancelled when the clamped watchdog fired mid-run; Timeout when a
-  // loaded machine delayed dequeue past the deadline. Either way the
-  // job died from the queue deadline, bounded.
-  EXPECT_TRUE(R.Kind == ErrorKind::Cancelled || R.Kind == ErrorKind::Timeout)
-      << R.ErrorMessage;
+  EXPECT_EQ(R.Kind, ErrorKind::Timeout) << R.ErrorMessage;
+  EXPECT_EQ(Service.stats().WatchdogKills, 0u);
   EXPECT_LT(Elapsed, std::chrono::seconds(5));
 }
 
@@ -568,8 +364,6 @@ TEST(ServiceShed, QueueDeadlineClampsWatchdogForRunningJobs) {
 TEST(ServiceDeterminism, SameErrorKindAcross100RerunsOnReusedEngine) {
   ServiceConfig Config;
   Config.Threads = 1; // one engine, reused for every rerun
-  Config.Retry.MaxRetries = 0;
-  Config.Breaker.FailureThreshold = 0; // do not quarantine the reruns
   ExecService Service(Config);
 
   struct Case {
@@ -610,8 +404,6 @@ TEST(ServiceDeterminism, SameErrorKindAcross100RerunsOnReusedEngine) {
 TEST(ServiceDeterminism, MixedJobSoupOn8ThreadsHasNoCrossJobInterference) {
   ServiceConfig Config;
   Config.Threads = 8;
-  Config.Retry.MaxRetries = 0;
-  Config.Breaker.FailureThreshold = 0; // outcomes must not depend on order
   ExecService Service(Config);
 
   struct Expect {

@@ -23,10 +23,6 @@
 ///
 /// Shared options:
 ///   --threads=N              worker threads (default: hardware)
-///   --retries=N              max retries for transient OOM (default 2)
-///   --breaker-threshold=N    consecutive resource failures that open a
-///                            circuit (default 3; 0 disables)
-///   --breaker-cooldown-ms=N  circuit cooldown (default 5000)
 ///   --no-cache               disable the per-engine compile cache
 ///   --gc-torture=N           FaultInjector: force GC every Nth alloc
 ///   --gc-minor-torture=N     FaultInjector: force a minor (nursery)
@@ -63,7 +59,7 @@
 ///
 /// Batch exit status is the worst outcome across jobs: 0 all ok, 1
 /// program error (blame/trap/compile error/bad request), 3 resource
-/// exhaustion or rejection, 4 watchdog cancellation.
+/// exhaustion or an overload shed, 4 watchdog cancellation.
 ///
 //===----------------------------------------------------------------------===//
 #include "service/Protocol.h"
@@ -127,8 +123,7 @@ void printHelp() {
       "griftd — batch and server front ends over the execution service\n"
       "  batch: griftd [options] (manifest.jsonl | -)\n"
       "  serve: griftd --serve [--socket=PATH | --port=N] [options]\n"
-      "shared: --threads=N --retries=N --breaker-threshold=N\n"
-      "        --breaker-cooldown-ms=N --no-cache --gc-torture=N\n"
+      "shared: --threads=N --no-cache --gc-torture=N\n"
       "        --gc-minor-torture=N --fail-alloc=N\n"
       "        --cache-dir=DIR --cache-max-bytes=N (persistent compiled-\n"
       "        program store; store_* counters appear in stats)\n"
@@ -331,12 +326,6 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (parseUint(Arg, "--threads=", Tmp)) {
       Exec.Threads = static_cast<unsigned>(Tmp);
-    } else if (parseUint(Arg, "--retries=", Tmp)) {
-      Exec.Retry.MaxRetries = static_cast<uint32_t>(Tmp);
-    } else if (parseUint(Arg, "--breaker-threshold=", Tmp)) {
-      Exec.Breaker.FailureThreshold = static_cast<uint32_t>(Tmp);
-    } else if (parseUint(Arg, "--breaker-cooldown-ms=", Tmp)) {
-      Exec.Breaker.CooldownNanos = static_cast<int64_t>(Tmp) * 1000000;
     } else if (parseUint(Arg, "--gc-torture=", Tmp)) {
       Exec.GCTorturePeriod = Tmp;
     } else if (parseUint(Arg, "--gc-minor-torture=", Tmp)) {

@@ -1,4 +1,4 @@
-# Runs griftd over the 50-job smoke manifest and diffs the ErrorKind
+# Runs griftd over the 55-job smoke manifest and diffs the ErrorKind
 # summary against the golden file. Invoked by ctest as
 #   cmake -DGRIFTD=<path> -DMANIFEST=<path> -DGOLDEN=<path> -P griftd_smoke.cmake
 # Every job in the manifest has a deterministic outcome (see the
@@ -27,4 +27,4 @@ if(NOT SUMMARY STREQUAL EXPECTED)
       "--- actual ---\n${SUMMARY}")
 endif()
 
-message(STATUS "griftd smoke: 50 jobs, summary matches golden")
+message(STATUS "griftd smoke: 55 jobs, summary matches golden")
