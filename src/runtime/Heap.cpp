@@ -648,16 +648,17 @@ void Heap::recordPause(uint64_t Nanos, uint64_t &TotalNs, uint64_t &MaxNs,
   ++Hist[Bucket];
 }
 
-void Heap::castTortureSlow(Value &Pinned) {
+Value Heap::castTortureSlow(Value Pinned) {
   assert(Injector && Injector->MinorGCTorturePeriod);
   if (++CastTortureCount % Injector->MinorGCTorturePeriod != 0)
-    return;
+    return Pinned;
   if (!NurseryBase)
-    return;
+    return Pinned;
   ++Injector->ForcedMinorCollections;
   pushTempRoot(&Pinned);
   minorCollect();
   popTempRoot();
+  return Pinned;
 }
 
 //===----------------------------------------------------------------------===//

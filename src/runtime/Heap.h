@@ -346,8 +346,8 @@ public:
   /// \p Pinned is rooted across the collection and updated in place, so
   /// callers may keep using it afterwards.
   void maybeCastTortureMinor(Value &Pinned) {
-    if (Injector && Injector->MinorGCTorturePeriod)
-      castTortureSlow(Pinned);
+    if (Injector && Injector->MinorGCTorturePeriod) [[unlikely]]
+      Pinned = castTortureSlow(Pinned);
   }
 
   size_t liveObjects() const { return LiveObjects; }
@@ -579,7 +579,9 @@ private:
   /// survive one).
   void flushRememberedSet();
 
-  void castTortureSlow(Value &Pinned);
+  /// Takes and returns the value (rather than a reference) so the inline
+  /// caller's value never has its address taken and stays in a register.
+  Value castTortureSlow(Value Pinned);
   /// Runs verify() after a collection when torture/ASan/explicit opt-in
   /// demands it; aborts loudly on any violation.
   void maybeVerify();

@@ -41,7 +41,8 @@ EnginePool::Slot::compileCached(const JobSpec &Spec, bool &WasHit,
     VMProgram Prog;
     // Warm start: a validated image deserializes straight into this
     // slot's engine — no parse, no typecheck, no coercion derivation.
-    if (ProgStore->load(StoreKey, Engine.types(), Engine.coercions(), Prog)) {
+    if (ProgStore->load(StoreKey, Engine.types(), Engine.coercions(), Prog,
+                        Spec.Source)) {
       Entry.Exe = Engine.adopt(std::move(Prog));
       FromStore = true;
     }
@@ -52,7 +53,7 @@ EnginePool::Slot::compileCached(const JobSpec &Spec, bool &WasHit,
     // Publish successful compiles so the next cold process warm-starts;
     // compile errors stay in the in-memory negative cache only.
     if (Entry.Exe && StoreKey)
-      ProgStore->put(StoreKey, Entry.Exe->program());
+      ProgStore->put(StoreKey, Entry.Exe->program(), Spec.Source);
   }
   if (!UseCache) {
     // Still store (overwriting any stale entry) so the caller gets a

@@ -41,12 +41,14 @@ namespace grift::store {
 constexpr uint64_t ImageMagic = 0x00474D4954465247ull;
 
 /// Bump on ANY encoding change (see the versioning policy above).
-constexpr uint32_t FormatVersion = 1;
+/// Version 2: the fixnum and cast-shape opcodes, and the source text in
+/// the Meta section.
+constexpr uint32_t FormatVersion = 2;
 
 /// Section identifiers. Order in the file is not significant; the table
 /// is searched by id.
 enum class SectionId : uint32_t {
-  Meta = 1,      ///< mode, main function, table sizes
+  Meta = 1,      ///< mode, main function, source text
   Strings = 2,   ///< interned blame labels and names
   Types = 3,     ///< interned type table, topologically ordered
   Coercions = 4, ///< normal-form coercion graph (μ back-edges allowed)
@@ -120,6 +122,7 @@ enum class LoadStatus : uint8_t {
   BadSectionCRC,
   BadPayload,      ///< section bytes failed structural validation on load
   IOError,         ///< open/map failed for a reason other than ENOENT
+  SourceMismatch,  ///< a valid image built from another source (key collision)
 };
 
 inline const char *loadStatusName(LoadStatus S) {
@@ -136,6 +139,7 @@ inline const char *loadStatusName(LoadStatus S) {
   case LoadStatus::BadSectionCRC:   return "bad-section-crc";
   case LoadStatus::BadPayload:      return "bad-payload";
   case LoadStatus::IOError:         return "io-error";
+  case LoadStatus::SourceMismatch:  return "source-mismatch";
   }
   return "?";
 }

@@ -4,36 +4,6 @@
 
 using namespace grift;
 
-size_t Type::arity() const {
-  assert(isFunction() && "arity of non-function");
-  return Children.size() - 1;
-}
-
-const Type *Type::param(size_t Index) const {
-  assert(isFunction() && Index < arity() && "bad parameter index");
-  return Children[Index];
-}
-
-const Type *Type::result() const {
-  assert(isFunction() && "result of non-function");
-  return Children.back();
-}
-
-size_t Type::tupleSize() const {
-  assert(isTuple() && "tupleSize of non-tuple");
-  return Children.size();
-}
-
-const Type *Type::element(size_t Index) const {
-  assert(isTuple() && Index < Children.size() && "bad tuple index");
-  return Children[Index];
-}
-
-const Type *Type::inner() const {
-  assert((isBox() || isVect() || isRec()) && "inner of leaf type");
-  return Children[0];
-}
-
 uint32_t Type::varIndex() const {
   assert(isVar() && "varIndex of non-var");
   return VarIdx;

@@ -18,6 +18,7 @@
 #ifndef GRIFT_TYPES_TYPE_H
 #define GRIFT_TYPES_TYPE_H
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,18 +68,39 @@ public:
 
   const std::vector<const Type *> &children() const { return Children; }
 
+  // The child accessors are inline: the VM's Dyn elimination handlers
+  // and every AppDyn argument cast read them on the hot path.
+
   /// Function parameter count.
-  size_t arity() const;
+  size_t arity() const {
+    assert(isFunction() && "arity of non-function");
+    return Children.size() - 1;
+  }
   /// Function parameter \p Index.
-  const Type *param(size_t Index) const;
+  const Type *param(size_t Index) const {
+    assert(isFunction() && Index < arity() && "bad parameter index");
+    return Children[Index];
+  }
   /// Function return type.
-  const Type *result() const;
+  const Type *result() const {
+    assert(isFunction() && "result of non-function");
+    return Children.back();
+  }
   /// Tuple element count.
-  size_t tupleSize() const;
+  size_t tupleSize() const {
+    assert(isTuple() && "tupleSize of non-tuple");
+    return Children.size();
+  }
   /// Tuple element \p Index.
-  const Type *element(size_t Index) const;
+  const Type *element(size_t Index) const {
+    assert(isTuple() && Index < Children.size() && "bad tuple index");
+    return Children[Index];
+  }
   /// Box/Vect element, or Rec body.
-  const Type *inner() const;
+  const Type *inner() const {
+    assert((isBox() || isVect() || isRec()) && "inner of leaf type");
+    return Children[0];
+  }
   /// de Bruijn index of a Var.
   uint32_t varIndex() const;
 

@@ -51,22 +51,27 @@ public:
 private:
   /// A pending result conversion recorded when calling through a proxy
   /// or a Dyn application site. C is used in coercion mode; S/T/L in
-  /// type-based mode (and for runtime-typed Dyn results). Every pointer
-  /// is immortal (interned coercions and types, blame labels), so the
-  /// side stack holding these needs no GC rooting.
+  /// type-based mode (and for runtime-typed Dyn results, which resolve
+  /// their coercion through IC: an AppDyn site's own cache, or the
+  /// runtime's shared one when null). Every pointer is immortal (interned
+  /// coercions and types, blame labels) or lives as long as the run (the
+  /// site caches), so the side stack holding these needs no GC rooting.
   struct RetCast {
     const Coercion *C = nullptr;
     const Type *S = nullptr;
     const Type *T = nullptr;
     const std::string *L = nullptr;
+    CoercionCache *IC = nullptr;
   };
 
   /// A call frame: plain words. Its pending return casts are the
   /// RetStack entries from RetBase up to the next frame's RetBase (for
-  /// the top frame, up to the end of RetStack).
+  /// the top frame, up to the end of RetStack). While a frame runs,
+  /// execute() keeps its instruction pointer in a local; IP is written
+  /// back only when a call, AppDyn or return leaves the frame.
   struct Frame {
     const Instr *Code = nullptr; // the running function's instructions
-    uint32_t PC = 0;
+    const Instr *IP = nullptr;   // next instruction, saved across calls
     uint32_t Base = 0;       // stack index of local 0
     uint32_t CalleeSlot = 0; // stack index holding the callee value
     uint32_t RetBase = 0;    // first RetStack entry of this frame
@@ -86,7 +91,10 @@ private:
   /// Runtime's inline coercion entry points (coercions, coercion-passing).
   const bool CoercionCasts;
   std::vector<Value> Stack;
-  size_t Top = 0;
+  /// One past the top of Stack. A pointer, not an index: the handlers'
+  /// stores to stack slots cannot alias it, so it stays in a register
+  /// between calls.
+  Value *Sp = nullptr;
   std::vector<Frame> Frames;
   /// Every frame's pending return casts, oldest frame first; each
   /// frame's own entries are applied LIFO at its Return.
@@ -113,13 +121,23 @@ private:
   void checkBudgets(uint32_t BatchSteps);
 
   void push(Value V) {
-    if (Top == Stack.size())
+    if (Sp == Stack.data() + Stack.size()) [[unlikely]]
       growStack();
-    Stack[Top++] = V;
+    *Sp++ = V;
   }
-  Value pop() { return Stack[--Top]; }
+  Value pop() { return *--Sp; }
+  /// The stack index one past the top.
+  size_t top() const { return static_cast<size_t>(Sp - Stack.data()); }
   void growStack();
   void ensureStack(size_t Extra);
+
+  /// TYPE(v) of a Dyn value at an elimination site, a μ type unfolded.
+  const Type *dynType(Value V) {
+    const Type *T = RT.runtimeTypeOf(V);
+    if (T->isRec()) [[unlikely]]
+      T = RT.typeContext().unfold(T);
+    return T;
+  }
 
   /// Runtime::castRuntime, through the inline coercion path when the
   /// backend's casts are coercions.
@@ -143,7 +161,13 @@ private:
   /// into the frame's single entry: runtime-typed entries become their
   /// interned coercion, each is composed with the entry below, and an
   /// identity result leaves the frame with none.
-  void pushPending(uint32_t FrameBase, size_t First);
+  void pushPending(uint32_t FrameBase, size_t First) {
+    if (ComposeReturns && First != RetStack.size())
+      composePending(FrameBase, First);
+    if (size_t Count = RetStack.size() - FrameBase)
+      RT.stats().noteRetCasts(Count);
+  }
+  void composePending(uint32_t FrameBase, size_t First);
 
   /// The call fast path: when the callee below the \p Argc arguments is
   /// a plain closure of the right arity and the frame cap is not
@@ -163,8 +187,6 @@ private:
       doCallSlow(Argc, Tail, First);
   }
 
-  /// Return with pending return casts to apply.
-  void doReturnSlow();
   void doPrim(PrimOp Op);
 
   int64_t readIntFromInput();

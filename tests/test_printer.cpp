@@ -124,10 +124,11 @@ TEST(PrinterBytecode, DisassemblyIsStable) {
   auto Exe = G.compile("(+ 1 2)", CastMode::Coercions, Errors);
   ASSERT_TRUE(Exe.has_value()) << Errors;
   std::string Text = Exe->program().str();
-  // The peephole pass fuses the (push-int 2, prim add) pair; the prim
-  // stays in its slot as the fused instruction's placeholder.
+  // The peephole pass fuses the (push-int 2, prim add) pair into the
+  // fixnum push-int-add; the prim stays in its slot as the fused
+  // instruction's placeholder.
   EXPECT_NE(Text.find("push-int 1"), std::string::npos) << Text;
-  EXPECT_NE(Text.find("push-int-prim 2"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("push-int-add 2"), std::string::npos) << Text;
   EXPECT_NE(Text.find("prim"), std::string::npos) << Text;
   EXPECT_NE(Text.find("halt"), std::string::npos) << Text;
 }
@@ -142,6 +143,7 @@ TEST(PrinterBytecode, UnfusedDisassemblyKeepsOneOpPerInstruction) {
   EXPECT_NE(Text.find("push-int 1"), std::string::npos) << Text;
   EXPECT_NE(Text.find("push-int 2"), std::string::npos) << Text;
   EXPECT_EQ(Text.find("push-int-prim"), std::string::npos) << Text;
+  EXPECT_EQ(Text.find("push-int-add"), std::string::npos) << Text;
 }
 
 TEST(PrinterCoercions, RendersNormalForms) {

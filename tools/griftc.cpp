@@ -322,13 +322,13 @@ int main(int Argc, char **Argv) {
   std::optional<Executable> Exe;
   if (PStore && PStore->enabled()) {
     VMProgram Prog;
-    if (PStore->load(StoreKey, G.types(), G.coercions(), Prog))
+    if (PStore->load(StoreKey, G.types(), G.coercions(), Prog, Source))
       Exe = G.adopt(std::move(Prog));
   }
   if (!Exe) {
     Exe = G.compileAst(*Ast, Mode, Errors, Optimize);
     if (Exe && PStore && PStore->enabled())
-      PStore->put(StoreKey, Exe->program());
+      PStore->put(StoreKey, Exe->program(), Source);
   }
   if (!Exe) {
     std::fprintf(stderr, "%s", Errors.c_str());
@@ -352,6 +352,7 @@ int main(int Argc, char **Argv) {
   if (Stats) {
     std::printf("; mode: %s\n", castModeName(Mode));
     std::printf("; wall: %.3f ms\n", R.WallNanos / 1e6);
+    std::printf("; steps: %llu\n", static_cast<unsigned long long>(R.Steps));
     if (R.Stats.TimedNanos >= 0)
       std::printf("; timed region: %.3f ms\n", R.Stats.TimedNanos / 1e6);
     std::printf("; casts applied: %llu\n",
