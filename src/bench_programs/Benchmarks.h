@@ -36,7 +36,7 @@ struct BenchProgram {
 };
 
 /// All nine suite benchmarks (everything except even/odd, which is a
-/// microbenchmark with its own driver).
+/// Figure 4 program measured at its own sizes).
 const std::vector<BenchProgram> &allBenchmarks();
 
 /// Looks a benchmark up by name; aborts on unknown names.

@@ -7,7 +7,7 @@
 /// Section 5 conjectures that adding them would "eliminate many
 /// first-order checks, the main cause of slowdowns in dynamically typed
 /// code". This pass implements the local subset so the conjecture can be
-/// measured (bench/ablation_optimizer):
+/// measured (the ablation/optimizer/ rows of bench/benchjson):
 ///
 ///   * constant folding of integer/float/boolean primitives;
 ///   * branch folding of `if` with a literal condition;

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Compare two benchjson documents (schema grift-bench-v1).
+"""Compare benchjson documents (schema grift-bench-v1), or summarize one.
 
 Usage: bench_compare.py BASELINE.json [CURRENT.json] [--tolerance 0.5]
                         [--slo NAME:FIELD<=VALUE ...]
 
-Exit status is non-zero when
+With two files, exit status is non-zero when
 
   * a benchmark's median_ns regressed by more than the tolerance
     (default 50% — generous because CI machines are noisy; the point is
@@ -26,6 +26,13 @@ reported alongside the medians but never fail a baseline comparison.
 Counters absent from one side (older baselines) are skipped rather than
 treated as drift.
 
+With one file, the figure numbers the paper quotes are derived from its
+rows and printed — the Figure 4 rows, the Figure 7/19-20 "coercions are
+Ax to Bx faster than type-based casts" ranges, the Figure 8 slowdown
+CDFs against fig8/<b>/dynamic, Figure 9's vs-static ratios, and the
+Section 5 ablations — then the shape invariants and any --slo gates are
+applied to the same rows.
+
 SLO gates (--slo, repeatable) enforce absolute bounds on the CURRENT
 rows instead of relative drift. The spec is NAME:FIELD OP VALUE where
 OP is <= or >= and NAME is a substring match against the row name:
@@ -45,10 +52,8 @@ without hard-coding machine-dependent nanosecond values:
         --slo 'gc/ray/gen:gc_pause_max_ns<=10*BASELINE'
 
 Relative gates need a baseline row carrying the field, so they are
-rejected in single-file mode.
-
-When only SLOs matter (a load run with no perf baseline), CURRENT may
-be omitted and the gates are applied to BASELINE's rows directly:
+rejected in single-file mode. In single-file mode the gates apply to
+the one file's rows:
 
     bench_compare.py soak.json --slo 'load/soak:lost<=0'
 
@@ -57,12 +62,15 @@ is worse than no SLO.
 
 Shape invariants checked on CURRENT (paper Section 4.2 / Figure 4):
 
-  * fig4/evenodd coercions: longest proxy chain stays at 1 — space
-    efficiency means composition keeps chains flat.
+  * every coercions and coercion-passing row: longest proxy chain at
+    most 1 — space efficiency means composition keeps chains flat;
+  * fig4/evenodd coercions: longest chain exactly 1, and inline-cache
+    hit rate >= 90% — the per-site caches are doing their job on the
+    monomorphic hot path;
   * fig4/evenodd/20000 type-based: longest chain is Theta(n) (>= 1000)
-    — the baseline semantics really does build the bad chains.
-  * fig4/evenodd coercions: inline-cache hit rate >= 90% — the per-site
-    caches are doing their job on the monomorphic hot path.
+    — the baseline semantics really does build the bad chains;
+  * fig4/quicksort*/<n> type-based: longest chain >= n — one reference
+    proxy per recursive call.
 
 Speedups and peak-heap changes are reported but never fail the run.
 """
@@ -166,10 +174,17 @@ def check_shapes(current):
     """Paper shape invariants on the CURRENT results."""
     errors = []
     for (name, mode), row in sorted(current.items()):
+        chain = row.get("longest_chain")
+        if chain is None:
+            continue
+        if mode in ("coercions", "coercion-passing") and chain > 1:
+            errors.append(
+                f"{name} [{mode}]: longest_chain = {chain}, expected <= 1 "
+                "(coercions must keep proxy chains flat)")
         if name.startswith("fig4/evenodd") and mode == "coercions":
-            if row["longest_chain"] != 1:
+            if chain != 1:
                 errors.append(
-                    f"{name} [{mode}]: longest_chain = {row['longest_chain']}"
+                    f"{name} [{mode}]: longest_chain = {chain}"
                     ", expected 1 (coercions must keep proxy chains flat)")
             probes = row["cache_hits"] + row["cache_misses"]
             if probes:
@@ -178,6 +193,12 @@ def check_shapes(current):
                     errors.append(
                         f"{name} [{mode}]: inline-cache hit rate "
                         f"{rate:.2%} < 90%")
+        if name.startswith("fig4/quicksort") and mode == "type-based":
+            n = int(name.rsplit("/", 1)[1])
+            if chain < n:
+                errors.append(
+                    f"{name} [{mode}]: longest_chain = {chain}, expected "
+                    f">= n = {n} (a reference proxy per recursive call)")
     tb = current.get(("fig4/evenodd/20000", "type-based"))
     if tb is not None and tb["longest_chain"] < 1000:
         errors.append(
@@ -186,11 +207,174 @@ def check_shapes(current):
     return errors
 
 
+def ms(row):
+    return row["median_ns"] / 1e6
+
+
+def by_name(rows, prefix):
+    """{name: {mode: row}} for the rows whose name starts with prefix, in
+    document order (the driver's suite order)."""
+    out = {}
+    for (name, mode), row in rows.items():
+        if name.startswith(prefix):
+            out.setdefault(name, {})[mode] = row
+    return out
+
+
+def groups(rows, prefix):
+    """{benchmark: {leaf: {mode: row}}} for rows named prefix<b>/<leaf>."""
+    out = {}
+    for name, modes in by_name(rows, prefix).items():
+        bench, _, leaf = name[len(prefix):].partition("/")
+        out.setdefault(bench, {})[leaf] = modes
+    return out
+
+
+def print_rows(rows, prefix, title, fields):
+    table = by_name(rows, prefix)
+    if table:
+        print(f"\n== {title} ({prefix})")
+    for name, modes in table.items():
+        for mode, r in modes.items():
+            extra = " ".join(f"{f}={json.dumps(r[f])}" for f in fields
+                             if f in r)
+            print(f"  {name:28s} {mode:16s} {ms(r):10.3f} ms  {extra}")
+
+
+def print_sweeps(rows, prefix, title):
+    """Figures 7 and 19-20: reference rows, then the Section 4.2 claim
+    "coercions are Ax to Bx faster than type-based casts" over the
+    sampled configurations (rows carrying a precision)."""
+    table = groups(rows, prefix)
+    if table:
+        print(f"\n== {title} ({prefix})")
+    for bench, leaves in table.items():
+        refs = [f"{leaf} {mode} {ms(r):.3f} ms"
+                for leaf in ("static", "dynamic")
+                for mode, r in leaves.get(leaf, {}).items()]
+        if refs:
+            print(f"  {bench}: " + ", ".join(refs))
+        ratios, chains = [], {"coercions": 0, "type-based": 0}
+        for leaf, modes in leaves.items():
+            co, tb = modes.get("coercions"), modes.get("type-based")
+            if not co or not tb or "precision" not in co:
+                continue
+            print(f"    {leaf:10s} {co['precision']:7.1%} typed  "
+                  f"coercions {ms(co):9.3f} ms chain {co['longest_chain']:5d}"
+                  f"  type-based {ms(tb):9.3f} ms "
+                  f"chain {tb['longest_chain']:5d}")
+            if co["median_ns"] > 0:
+                ratios.append(tb["median_ns"] / co["median_ns"])
+            for mode in chains:
+                chains[mode] = max(chains[mode], modes[mode]["longest_chain"])
+        if ratios:
+            print(f"  {bench} summary: coercions are {min(ratios):.2f}x to "
+                  f"{max(ratios):.2f}x faster than type-based casts "
+                  f"({len(ratios)} configurations; longest chain "
+                  f"{chains['coercions']} vs {chains['type-based']})")
+
+
+def print_lattice(rows):
+    """Figure 8: per benchmark, granularity and mode, how many sampled
+    configurations run within each slowdown of fig8/<b>/dynamic under
+    coercions (the figure's cumulative distribution), and the worst."""
+    table = groups(rows, "fig8/")
+    if table:
+        print("\n== Figure 8: slowdown vs fig8/<b>/dynamic [coercions] "
+              "(fig8/)")
+    for bench, leaves in table.items():
+        base = leaves.get("dynamic", {}).get("coercions")
+        if not base or base["median_ns"] <= 0:
+            continue
+        print(f"  {bench} (baseline {ms(base):.3f} ms)")
+        for gran in ("coarse", "fine"):
+            for mode in ("coercions", "type-based"):
+                slow = sorted(m[mode]["median_ns"] / base["median_ns"]
+                              for leaf, m in leaves.items()
+                              if leaf.rstrip("0123456789") == gran
+                              and mode in m)
+                if not slow:
+                    continue
+                cdf = "  ".join(f"<={t}x:{sum(x <= t for x in slow):3d}"
+                                for t in (1, 2, 3, 5, 10, 20, 100))
+                print(f"    {gran:6s} {mode:10s} n={len(slow):<3d} {cdf}  "
+                      f"worst {slow[-1]:.2f}x")
+
+
+def print_vs_static(rows, prefix, title, static_prefix):
+    """Figure 9 and the monotonic ablation: each mode's speedup over
+    Static Grift on the typed program, static time / mode time."""
+    table = by_name(rows, prefix)
+    if table:
+        print(f"\n== {title} ({prefix})")
+    spans = {}
+    for name, modes in table.items():
+        bench = name[len(prefix):]
+        static = rows.get((static_prefix + bench, "static"))
+        cells = []
+        for mode, r in modes.items():
+            cell = f"{mode} {ms(r):.3f} ms"
+            if static and mode != "static" and r["median_ns"] > 0:
+                vs = static["median_ns"] / r["median_ns"]
+                spans.setdefault(mode, []).append(vs)
+                cell += f" ({vs:.2f}x)"
+            cells.append(cell)
+        print(f"  {bench:14s} " + ", ".join(cells))
+    for mode, vs in spans.items():
+        print(f"  {mode} vs static: {min(vs):.2f}x to {max(vs):.2f}x")
+
+
+def print_optimizer(rows):
+    """Section 5: the runtime casts the core-IR optimizer removes from
+    erased programs, and its speedup, plain time / optimized time."""
+    table = groups(rows, "ablation/optimizer/")
+    if table:
+        print("\n== Section 5: core-IR optimizer on erased programs "
+              "(ablation/optimizer/)")
+    spans = []
+    for bench, leaves in table.items():
+        plain = leaves.get("plain", {}).get("coercions")
+        opt = leaves.get("optimized", {}).get("coercions")
+        if not plain or not opt or opt["median_ns"] <= 0:
+            continue
+        vs = plain["median_ns"] / opt["median_ns"]
+        spans.append(vs)
+        removed = plain["casts"] - opt["casts"]
+        print(f"  {bench:14s} casts {plain['casts']} -> {opt['casts']} "
+              f"(-{removed / max(plain['casts'], 1):.1%})  "
+              f"{ms(plain):.3f} -> {ms(opt):.3f} ms ({vs:.2f}x)")
+    if spans:
+        print(f"  optimized vs plain: {min(spans):.2f}x to {max(spans):.2f}x")
+
+
+def summarize(rows):
+    """The figure numbers EXPERIMENTS.md quotes, from one document."""
+    print_rows(rows, "fig4/", "Figure 4: runtime, casts and chain vs n",
+               ("casts", "longest_chain", "max_ret_casts"))
+    print_sweeps(rows, "fig7/", "Figure 7: partially typed configurations")
+    print_sweeps(rows, "fig19/",
+                 "Figures 19-20: partially typed configurations")
+    print_lattice(rows)
+    print_vs_static(rows, "fig9a/", "Figure 9a: typed programs", "fig9a/")
+    print_vs_static(rows, "fig9b/", "Figure 9b: erased programs", "fig9a/")
+    print_vs_static(rows, "ablation/monotonic/",
+                    "Section 5: monotonic references on typed programs",
+                    "ablation/monotonic/")
+    print_optimizer(rows)
+    print_rows(rows, "micro/", "Microbenchmarks",
+               ("casts", "longest_chain", "peak_heap"))
+    print_rows(rows, "gc/", "GC pauses",
+               ("gc_pause_max_ns", "gc_minor_pauses", "gc_pause_ratio_pct"))
+    print_rows(rows, "store/", "Program store: warm load vs cold compile",
+               ("cold_compile_ns", "warm_load_ns", "warm_over_cold_pct"))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
     ap.add_argument("current", nargs="?",
-                    help="omit to apply --slo gates to BASELINE alone")
+                    help="omit to summarize BASELINE and apply the shape "
+                         "invariants and --slo gates to it alone")
     ap.add_argument("--tolerance", type=float, default=0.5,
                     help="allowed fractional median_ns regression "
                          "(default 0.5 = 50%%)")
@@ -206,13 +390,11 @@ def main():
     errors = []
     base = None
     if args.current is None:
-        # SLO-only mode: one file, no baseline diff.
-        if not slos:
-            ap.error("single-file mode requires at least one --slo")
         if any(s[4] for s in slos):
             ap.error("relative (K*BASELINE) SLOs need a baseline and a "
                      "current file")
         cur = load(args.baseline)
+        summarize(cur)
     else:
         base = load(args.baseline)
         cur = load(args.current)
@@ -248,8 +430,8 @@ def main():
         for key in sorted(cur):
             if key not in base:
                 print(f"{key[0]} [{key[1]}]: new benchmark (no baseline)")
-        errors += check_shapes(cur)
 
+    errors += check_shapes(cur)
     errors += check_slos(cur, slos, base)
 
     if errors:
