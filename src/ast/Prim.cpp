@@ -1,7 +1,6 @@
 #include "ast/Prim.h"
 
 #include <cassert>
-#include <unordered_map>
 
 using namespace grift;
 
@@ -70,17 +69,4 @@ const Type *grift::primResult(TypeContext &Ctx, PrimOp Op) {
   size_t Colon = Signature.find(':');
   assert(Colon != std::string_view::npos && Colon + 1 < Signature.size());
   return letterType(Ctx, Signature[Colon + 1]);
-}
-
-std::optional<PrimOp> grift::lookupPrim(std::string_view Name) {
-  static const std::unordered_map<std::string_view, PrimOp> ByName = [] {
-    std::unordered_map<std::string_view, PrimOp> Map;
-    for (unsigned I = 0; I != NumPrimOps; ++I)
-      Map.emplace(PrimTable[I].Name, static_cast<PrimOp>(I));
-    return Map;
-  }();
-  auto It = ByName.find(Name);
-  if (It == ByName.end())
-    return std::nullopt;
-  return It->second;
 }

@@ -11,7 +11,6 @@
 
 #include "types/TypeContext.h"
 
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -40,9 +39,6 @@ std::vector<const Type *> primParams(TypeContext &Ctx, PrimOp Op);
 
 /// Result type of \p Op, materialized in \p Ctx.
 const Type *primResult(TypeContext &Ctx, PrimOp Op);
-
-/// Looks up an operator by surface name.
-std::optional<PrimOp> lookupPrim(std::string_view Name);
 
 } // namespace grift
 

@@ -10,39 +10,24 @@ using namespace grift;
 
 namespace {
 
-/// Names that cannot be used as variables because they head special forms.
-bool isKeyword(std::string_view Name) {
-  static const char *Keywords[] = {
-      "define", "lambda",        "let",        "letrec",      "if",
-      "begin",  "repeat",        "time",       "tuple",       "tuple-proj",
-      "box",    "unbox",         "box-set!",   "make-vector", "vector-ref",
-      "vector-set!", "vector-length", "ann",   "and",         "or",
-      "when",   "unless",        "cond",       "else",        ":"};
-  for (const char *Keyword : Keywords)
-    if (Name == Keyword)
-      return true;
-  return false;
-}
-
 class Parser {
 public:
   Parser(TypeContext &Ctx, DiagnosticEngine &Diags) : Ctx(Ctx), Diags(Diags) {}
 
-  std::optional<Program> parseProgram(const std::vector<Sexp> &Data) {
+  std::optional<Program> parseProgram(const SexpArena &Data) {
     Program Prog;
     for (const Sexp &Datum : Data) {
-      if (Datum.isList() && Datum.size() >= 1 && Datum[0].isSymbol("define")) {
+      if (Datum.isList() && Datum.size() >= 1 && Datum[0].is(Keyword::Define)) {
         std::optional<Define> D = parseDefine(Datum);
         if (!D)
           return std::nullopt;
         Prog.Defines.push_back(std::move(*D));
         continue;
       }
-      ExprPtr E = parse(Datum);
-      if (!E)
-        return std::nullopt;
       Define Stmt;
-      Stmt.Body = std::move(E);
+      Stmt.Body = parse(Datum);
+      if (!Stmt.Body)
+        return std::nullopt;
       Stmt.Loc = Datum.loc();
       Prog.Defines.push_back(std::move(Stmt));
     }
@@ -69,10 +54,11 @@ public:
     case Sexp::Kind::String:
       return error(Datum.loc(), "string literals are not GTLC+ expressions");
     case Sexp::Kind::Symbol: {
-      const std::string &Name = Datum.symbol();
-      if (isKeyword(Name) || lookupPrim(Name))
+      std::string Name(Datum.symbol());
+      if (Datum.symbolClass() == Sexp::Class::Keyword ||
+          Datum.symbolClass() == Sexp::Class::Prim)
         return error(Datum.loc(), "'" + Name + "' used as a variable");
-      return makeVar(Name, Datum.loc());
+      return makeVar(std::move(Name), Datum.loc());
     }
     case Sexp::Kind::List:
       if (Datum.isEmptyList())
@@ -99,15 +85,14 @@ private:
   /// past both and returns the type. Returns nullptr without error if no
   /// colon is present; sets \p Bad on malformed annotation.
   const Type *parseOptionalAnnot(const Sexp &List, size_t &I, bool &Bad) {
-    const auto &Elements = List.elements();
-    if (I >= Elements.size() || !Elements[I].isSymbol(":"))
+    if (I >= List.size() || !List[I].is(Keyword::Colon))
       return nullptr;
-    if (I + 1 >= Elements.size()) {
+    if (I + 1 >= List.size()) {
       Diags.error(List.loc(), "':' must be followed by a type");
       Bad = true;
       return nullptr;
     }
-    const Type *T = parseTypeAt(Elements[I + 1]);
+    const Type *T = parseTypeAt(List[I + 1]);
     if (!T) {
       Bad = true;
       return nullptr;
@@ -116,19 +101,32 @@ private:
     return T;
   }
 
+  /// Parses `(: T)? E` at List[I...] into \p Annot and the returned E;
+  /// \p Extra is the error when more follows E.
+  ExprPtr parseAnnotated(const Sexp &List, size_t I, const Type *&Annot,
+                         const char *Extra) {
+    bool Bad = false;
+    Annot = parseOptionalAnnot(List, I, Bad);
+    if (Bad)
+      return nullptr;
+    if (I + 1 != List.size())
+      return error(List.loc(), Extra);
+    return parse(List[I]);
+  }
+
   std::optional<Param> parseParam(const Sexp &Datum) {
     if (Datum.isSymbol()) {
-      if (isKeyword(Datum.symbol()))
+      if (Datum.symbolClass() == Sexp::Class::Keyword)
         Diags.error(Datum.loc(), "keyword used as parameter name");
-      return Param{Datum.symbol(), nullptr, Datum.loc()};
+      return Param{Datum.str(), nullptr, Datum.loc()};
     }
     // [x : T]
     if (Datum.isList() && Datum.size() == 3 && Datum[0].isSymbol() &&
-        Datum[1].isSymbol(":")) {
+        Datum[1].is(Keyword::Colon)) {
       const Type *T = parseTypeAt(Datum[2]);
       if (!T)
         return std::nullopt;
-      return Param{Datum[0].symbol(), T, Datum.loc()};
+      return Param{Datum[0].str(), T, Datum.loc()};
     }
     Diags.error(Datum.loc(), "malformed parameter, expected x or [x : T]");
     return std::nullopt;
@@ -137,19 +135,31 @@ private:
   /// Parses a body sequence starting at \p Start; wraps multiple
   /// expressions in an implicit begin.
   ExprPtr parseBody(const Sexp &List, size_t Start) {
-    const auto &Elements = List.elements();
-    if (Start >= Elements.size())
+    if (Start >= List.size())
       return error(List.loc(), "empty body");
-    if (Start + 1 == Elements.size())
-      return parse(Elements[Start]);
-    std::vector<ExprPtr> Seq;
-    for (size_t I = Start; I != Elements.size(); ++I) {
-      ExprPtr E = parse(Elements[I]);
-      if (!E)
+    if (Start + 1 == List.size())
+      return parse(List[Start]);
+    return parseNode(List, Start, ExprKind::Begin);
+  }
+
+  /// Parses List[Start...] as the sub-expressions of a \p Kind node.
+  ExprPtr parseNode(const Sexp &List, size_t Start, ExprKind Kind) {
+    std::vector<ExprPtr> Subs;
+    Subs.reserve(List.size() - Start);
+    for (size_t I = Start; I != List.size(); ++I)
+      if (!Subs.emplace_back(parse(List[I])))
         return nullptr;
-      Seq.push_back(std::move(E));
-    }
-    return makeNode(ExprKind::Begin, std::move(Seq), List.loc());
+    return makeNode(Kind, std::move(Subs), List.loc());
+  }
+
+  static ExprPtr makeIf(ExprPtr Cond, ExprPtr Then, ExprPtr Else,
+                        SourceLoc Loc) {
+    std::vector<ExprPtr> Subs;
+    Subs.reserve(3);
+    Subs.push_back(std::move(Cond));
+    Subs.push_back(std::move(Then));
+    Subs.push_back(std::move(Else));
+    return makeNode(ExprKind::If, std::move(Subs), Loc);
   }
 
   std::optional<Define> parseDefine(const Sexp &Datum) {
@@ -162,16 +172,8 @@ private:
     D.Loc = Datum.loc();
     if (Datum[1].isSymbol()) {
       D.Name = Datum[1].symbol();
-      size_t I = 2;
-      bool Bad = false;
-      D.Annot = parseOptionalAnnot(Datum, I, Bad);
-      if (Bad)
-        return std::nullopt;
-      if (I + 1 != Datum.size()) {
-        Diags.error(Datum.loc(), "define takes exactly one body expression");
-        return std::nullopt;
-      }
-      D.Body = parse(Datum[I]);
+      D.Body = parseAnnotated(Datum, 2, D.Annot,
+                              "define takes exactly one body expression");
       if (!D.Body)
         return std::nullopt;
       return D;
@@ -183,89 +185,73 @@ private:
     // Function form: desugar to a lambda.
     const Sexp &Header = Datum[1];
     D.Name = Header[0].symbol();
-    auto Lambda = std::make_unique<Expr>();
-    Lambda->Kind = ExprKind::Lambda;
-    Lambda->Loc = Datum.loc();
-    for (size_t I = 1; I != Header.size(); ++I) {
-      std::optional<Param> P = parseParam(Header[I]);
-      if (!P)
-        return std::nullopt;
-      Lambda->Params.push_back(std::move(*P));
-    }
-    size_t I = 2;
-    bool Bad = false;
-    Lambda->ReturnAnnot = parseOptionalAnnot(Datum, I, Bad);
-    if (Bad)
+    D.Body = parseLambdaRest(Datum, Header, 1);
+    if (!D.Body)
       return std::nullopt;
-    ExprPtr Body = parseBody(Datum, I);
-    if (!Body)
-      return std::nullopt;
-    Lambda->SubExprs.push_back(std::move(Body));
-    D.Body = std::move(Lambda);
     return D;
   }
 
   ExprPtr parseForm(const Sexp &Datum) {
     const Sexp &Head = Datum[0];
-    if (!Head.isSymbol())
+    if (Head.symbolClass() == Sexp::Class::Prim)
+      return parsePrim(Datum, PrimOp(Head.id()));
+    if (Head.symbolClass() != Sexp::Class::Keyword)
       return parseApp(Datum);
-    const std::string &Name = Head.symbol();
-
-    if (std::optional<PrimOp> Op = lookupPrim(Name))
-      return parsePrim(Datum, *Op);
-    if (Name == "if")
-      return parseIf(Datum);
-    if (Name == "lambda")
+    switch (Keyword(Head.id())) {
+    case Keyword::If:
+      if (Datum.size() != 4)
+        return error(Datum.loc(), "if takes exactly three sub-expressions");
+      return parseNary(Datum, ExprKind::If, 3);
+    case Keyword::Lambda:
       return parseLambda(Datum);
-    if (Name == "let" || Name == "letrec")
-      return parseLet(Datum, Name == "letrec");
-    if (Name == "begin")
+    case Keyword::Let:
+    case Keyword::Letrec:
+      return parseLet(Datum, Head.is(Keyword::Letrec));
+    case Keyword::Begin:
       return parseBegin(Datum);
-    if (Name == "repeat")
+    case Keyword::Repeat:
       return parseRepeat(Datum);
-    if (Name == "time")
-      return parseUnary(Datum, ExprKind::Time);
-    if (Name == "tuple")
+    case Keyword::Time:
+      return parseNary(Datum, ExprKind::Time, 1);
+    case Keyword::Tuple:
       return parseTuple(Datum);
-    if (Name == "tuple-proj")
+    case Keyword::TupleProj:
       return parseTupleProj(Datum);
-    if (Name == "box")
-      return parseUnary(Datum, ExprKind::BoxE);
-    if (Name == "unbox")
-      return parseUnary(Datum, ExprKind::Unbox);
-    if (Name == "box-set!")
+    case Keyword::Box:
+      return parseNary(Datum, ExprKind::BoxE, 1);
+    case Keyword::Unbox:
+      return parseNary(Datum, ExprKind::Unbox, 1);
+    case Keyword::BoxSet:
       return parseNary(Datum, ExprKind::BoxSet, 2);
-    if (Name == "make-vector")
+    case Keyword::MakeVector:
       return parseNary(Datum, ExprKind::MakeVect, 2);
-    if (Name == "vector-ref")
+    case Keyword::VectorRef:
       return parseNary(Datum, ExprKind::VectRef, 2);
-    if (Name == "vector-set!")
+    case Keyword::VectorSet:
       return parseNary(Datum, ExprKind::VectSet, 3);
-    if (Name == "vector-length")
-      return parseUnary(Datum, ExprKind::VectLen);
-    if (Name == "ann")
+    case Keyword::VectorLength:
+      return parseNary(Datum, ExprKind::VectLen, 1);
+    case Keyword::Ann:
       return parseAnn(Datum);
-    if (Name == "and" || Name == "or")
-      return parseAndOr(Datum, Name == "and");
-    if (Name == "when" || Name == "unless")
-      return parseWhen(Datum, Name == "unless");
-    if (Name == "cond")
+    case Keyword::And:
+    case Keyword::Or:
+      return parseAndOr(Datum, Head.is(Keyword::And));
+    case Keyword::When:
+    case Keyword::Unless:
+      return parseWhen(Datum, Head.is(Keyword::Unless));
+    case Keyword::Cond:
       return parseCond(Datum);
-    if (Name == "define")
+    case Keyword::Define:
       return error(Datum.loc(), "define is only allowed at the top level");
+    case Keyword::Else:
+    case Keyword::Colon:
+      break;
+    }
     return parseApp(Datum);
   }
 
   ExprPtr parseApp(const Sexp &Datum) {
-    std::vector<ExprPtr> Parts;
-    Parts.reserve(Datum.size());
-    for (const Sexp &Element : Datum.elements()) {
-      ExprPtr E = parse(Element);
-      if (!E)
-        return nullptr;
-      Parts.push_back(std::move(E));
-    }
-    return makeNode(ExprKind::App, std::move(Parts), Datum.loc());
+    return parseNode(Datum, 0, ExprKind::App);
   }
 
   ExprPtr parsePrim(const Sexp &Datum, PrimOp Op) {
@@ -274,50 +260,35 @@ private:
       return error(Datum.loc(), std::string(primName(Op)) + " expects " +
                                     std::to_string(Arity) + " arguments, got " +
                                     std::to_string(Datum.size() - 1));
-    std::vector<ExprPtr> Args;
-    for (size_t I = 1; I != Datum.size(); ++I) {
-      ExprPtr E = parse(Datum[I]);
-      if (!E)
-        return nullptr;
-      Args.push_back(std::move(E));
-    }
-    ExprPtr Node = makeNode(ExprKind::PrimApp, std::move(Args), Datum.loc());
-    Node->Prim = Op;
+    ExprPtr Node = parseNode(Datum, 1, ExprKind::PrimApp);
+    if (Node)
+      Node->Prim = Op;
     return Node;
-  }
-
-  ExprPtr parseIf(const Sexp &Datum) {
-    if (Datum.size() != 4)
-      return error(Datum.loc(), "if takes exactly three sub-expressions");
-    return parseNary(Datum, ExprKind::If, 3);
   }
 
   ExprPtr parseNary(const Sexp &Datum, ExprKind Kind, size_t Arity) {
     if (Datum.size() != Arity + 1)
       return error(Datum.loc(), "form expects " + std::to_string(Arity) +
                                     " sub-expressions");
-    std::vector<ExprPtr> Subs;
-    for (size_t I = 1; I != Datum.size(); ++I) {
-      ExprPtr E = parse(Datum[I]);
-      if (!E)
-        return nullptr;
-      Subs.push_back(std::move(E));
-    }
-    return makeNode(Kind, std::move(Subs), Datum.loc());
-  }
-
-  ExprPtr parseUnary(const Sexp &Datum, ExprKind Kind) {
-    return parseNary(Datum, Kind, 1);
+    return parseNode(Datum, 1, Kind);
   }
 
   ExprPtr parseLambda(const Sexp &Datum) {
     if (Datum.size() < 3 || !Datum[1].isList())
       return error(Datum.loc(), "malformed lambda");
+    return parseLambdaRest(Datum, Datum[1], 0);
+  }
+
+  /// A lambda with the parameters Params[First...] and the optional
+  /// return annotation and body that follow Datum[1].
+  ExprPtr parseLambdaRest(const Sexp &Datum, const Sexp &Params,
+                          size_t First) {
     auto Lambda = std::make_unique<Expr>();
     Lambda->Kind = ExprKind::Lambda;
     Lambda->Loc = Datum.loc();
-    for (const Sexp &P : Datum[1].elements()) {
-      std::optional<Param> Parsed = parseParam(P);
+    Lambda->Params.reserve(Params.size() - First);
+    for (size_t I = First; I != Params.size(); ++I) {
+      std::optional<Param> Parsed = parseParam(Params[I]);
       if (!Parsed)
         return nullptr;
       Lambda->Params.push_back(std::move(*Parsed));
@@ -340,21 +311,16 @@ private:
     auto Node = std::make_unique<Expr>();
     Node->Kind = IsRec ? ExprKind::Letrec : ExprKind::Let;
     Node->Loc = Datum.loc();
-    for (const Sexp &BindDatum : Datum[1].elements()) {
+    Node->Bindings.reserve(Datum[1].size());
+    for (const Sexp &BindDatum : Datum[1]) {
       if (!BindDatum.isList() || BindDatum.size() < 2 ||
           !BindDatum[0].isSymbol())
         return error(BindDatum.loc(), "malformed binding, expected [x (: T)? E]");
       Binding B;
       B.Name = BindDatum[0].symbol();
       B.Loc = BindDatum.loc();
-      size_t I = 1;
-      bool Bad = false;
-      B.Annot = parseOptionalAnnot(BindDatum, I, Bad);
-      if (Bad)
-        return nullptr;
-      if (I + 1 != BindDatum.size())
-        return error(BindDatum.loc(), "binding takes exactly one initializer");
-      B.Init = parse(BindDatum[I]);
+      B.Init = parseAnnotated(BindDatum, 1, B.Annot,
+                              "binding takes exactly one initializer");
       if (!B.Init)
         return nullptr;
       Node->Bindings.push_back(std::move(B));
@@ -369,14 +335,7 @@ private:
   ExprPtr parseBegin(const Sexp &Datum) {
     if (Datum.size() < 2)
       return error(Datum.loc(), "begin needs at least one expression");
-    std::vector<ExprPtr> Seq;
-    for (size_t I = 1; I != Datum.size(); ++I) {
-      ExprPtr E = parse(Datum[I]);
-      if (!E)
-        return nullptr;
-      Seq.push_back(std::move(E));
-    }
-    return makeNode(ExprKind::Begin, std::move(Seq), Datum.loc());
+    return parseNode(Datum, 1, ExprKind::Begin);
   }
 
   ExprPtr parseRepeat(const Sexp &Datum) {
@@ -402,14 +361,8 @@ private:
         return error(AccDatum.loc(), "malformed repeat accumulator");
       Node->HasAcc = true;
       Node->AccName = AccDatum[0].symbol();
-      size_t I = 1;
-      bool Bad = false;
-      Node->AccAnnot = parseOptionalAnnot(AccDatum, I, Bad);
-      if (Bad)
-        return nullptr;
-      if (I + 1 != AccDatum.size())
-        return error(AccDatum.loc(), "repeat accumulator takes one initializer");
-      ExprPtr Init = parse(AccDatum[I]);
+      ExprPtr Init = parseAnnotated(AccDatum, 1, Node->AccAnnot,
+                                    "repeat accumulator takes one initializer");
       if (!Init)
         return nullptr;
       Node->SubExprs.push_back(std::move(Init));
@@ -425,14 +378,7 @@ private:
   ExprPtr parseTuple(const Sexp &Datum) {
     if (Datum.size() < 2)
       return error(Datum.loc(), "tuple needs at least one element");
-    std::vector<ExprPtr> Elements;
-    for (size_t I = 1; I != Datum.size(); ++I) {
-      ExprPtr E = parse(Datum[I]);
-      if (!E)
-        return nullptr;
-      Elements.push_back(std::move(E));
-    }
-    return makeNode(ExprKind::Tuple, std::move(Elements), Datum.loc());
+    return parseNode(Datum, 1, ExprKind::Tuple);
   }
 
   ExprPtr parseTupleProj(const Sexp &Datum) {
@@ -483,16 +429,12 @@ private:
     ExprPtr Rest = buildAndOr(Datum, Index + 1, IsAnd);
     if (!Rest)
       return nullptr;
-    std::vector<ExprPtr> Subs;
-    Subs.push_back(std::move(First));
-    if (IsAnd) {
-      Subs.push_back(std::move(Rest));
-      Subs.push_back(makeLitBool(false, Datum.loc()));
-    } else {
-      Subs.push_back(makeLitBool(true, Datum.loc()));
-      Subs.push_back(std::move(Rest));
-    }
-    return makeNode(ExprKind::If, std::move(Subs), Datum.loc());
+    ExprPtr Short = makeLitBool(!IsAnd, Datum.loc());
+    if (IsAnd)
+      return makeIf(std::move(First), std::move(Rest), std::move(Short),
+                    Datum.loc());
+    return makeIf(std::move(First), std::move(Short), std::move(Rest),
+                  Datum.loc());
   }
 
   /// (when c e...) => (if c (begin e...) ()); unless negates.
@@ -505,16 +447,12 @@ private:
     ExprPtr Body = parseBody(Datum, 2);
     if (!Body)
       return nullptr;
-    std::vector<ExprPtr> Subs;
-    Subs.push_back(std::move(Cond));
-    if (Negate) {
-      Subs.push_back(makeLitUnit(Datum.loc()));
-      Subs.push_back(std::move(Body));
-    } else {
-      Subs.push_back(std::move(Body));
-      Subs.push_back(makeLitUnit(Datum.loc()));
-    }
-    return makeNode(ExprKind::If, std::move(Subs), Datum.loc());
+    ExprPtr Unit = makeLitUnit(Datum.loc());
+    if (Negate)
+      return makeIf(std::move(Cond), std::move(Unit), std::move(Body),
+                    Datum.loc());
+    return makeIf(std::move(Cond), std::move(Body), std::move(Unit),
+                  Datum.loc());
   }
 
   /// (cond [c e...] ... [else e...]) => nested ifs; a missing else arm
@@ -531,7 +469,7 @@ private:
     const Sexp &Clause = Datum[Index];
     if (!Clause.isList() || Clause.size() < 2)
       return error(Clause.loc(), "malformed cond clause");
-    if (Clause[0].isSymbol("else")) {
+    if (Clause[0].is(Keyword::Else)) {
       if (Index + 1 != Datum.size())
         return error(Clause.loc(), "else must be the last cond clause");
       return parseBody(Clause, 1);
@@ -545,11 +483,8 @@ private:
     ExprPtr Else = buildCond(Datum, Index + 1);
     if (!Else)
       return nullptr;
-    std::vector<ExprPtr> Subs;
-    Subs.push_back(std::move(Cond));
-    Subs.push_back(std::move(Then));
-    Subs.push_back(std::move(Else));
-    return makeNode(ExprKind::If, std::move(Subs), Clause.loc());
+    return makeIf(std::move(Cond), std::move(Then), std::move(Else),
+                  Clause.loc());
   }
 };
 
@@ -558,7 +493,7 @@ private:
 std::optional<Program> grift::parseProgram(TypeContext &Ctx,
                                            std::string_view Source,
                                            DiagnosticEngine &Diags) {
-  std::vector<Sexp> Data = readSexps(Source, Diags);
+  SexpArena Data = readSexps(Source, Diags);
   if (Diags.hasErrors())
     return std::nullopt;
   return Parser(Ctx, Diags).parseProgram(Data);
@@ -566,7 +501,7 @@ std::optional<Program> grift::parseProgram(TypeContext &Ctx,
 
 ExprPtr grift::parseExpr(TypeContext &Ctx, std::string_view Source,
                          DiagnosticEngine &Diags) {
-  std::vector<Sexp> Data = readSexps(Source, Diags);
+  SexpArena Data = readSexps(Source, Diags);
   if (Diags.hasErrors())
     return nullptr;
   if (Data.size() != 1) {

@@ -65,31 +65,30 @@ private:
   TypeContext &Ctx;
   DiagnosticEngine &Diags;
   std::unordered_map<std::string, const Type *> Globals;
-  std::vector<std::unordered_map<std::string, const Type *>> Scopes;
+  /// Local bindings, innermost last; the views name AST strings.
+  std::vector<std::pair<std::string_view, const Type *>> Locals;
 
   //===--------------------------------------------------------------------===//
   // Environment
   //===--------------------------------------------------------------------===//
 
+  /// Drops the bindings made in its lifetime.
   struct ScopeGuard {
     TypeChecker &Checker;
-    explicit ScopeGuard(TypeChecker &Checker) : Checker(Checker) {
-      Checker.Scopes.emplace_back();
-    }
-    ~ScopeGuard() { Checker.Scopes.pop_back(); }
+    size_t Mark;
+    explicit ScopeGuard(TypeChecker &Checker)
+        : Checker(Checker), Mark(Checker.Locals.size()) {}
+    ~ScopeGuard() { Checker.Locals.resize(Mark); }
   };
 
-  void bind(const std::string &Name, const Type *T) {
-    assert(!Scopes.empty() && "no scope to bind in");
-    Scopes.back()[Name] = T;
+  void bind(std::string_view Name, const Type *T) {
+    Locals.emplace_back(Name, T);
   }
 
-  const Type *lookupLocal(const std::string &Name) const {
-    for (size_t I = Scopes.size(); I-- > 0;) {
-      auto It = Scopes[I].find(Name);
-      if (It != Scopes[I].end())
-        return It->second;
-    }
+  const Type *lookupLocal(std::string_view Name) const {
+    for (size_t I = Locals.size(); I-- > 0;)
+      if (Locals[I].first == Name)
+        return Locals[I].second;
     return nullptr;
   }
 

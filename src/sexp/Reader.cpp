@@ -2,21 +2,113 @@
 
 #include "support/StringUtil.h"
 
-#include <cassert>
-#include <cctype>
+#include <array>
 
 using namespace grift;
 
 namespace {
 
-/// Recursive-descent s-expression reader over a text buffer.
-class Reader {
-public:
-  Reader(std::string_view Source, DiagnosticEngine &Diags)
-      : Source(Source), Diags(Diags) {}
+/// Per byte: 2 for whitespace, 1 for the other bytes that end an atom.
+constexpr auto CharClass = [] {
+  std::array<uint8_t, 256> Class{};
+  for (uint8_t C : std::string_view(" \t\n\v\f\r"))
+    Class[C] = 2;
+  for (uint8_t C : std::string_view("()[]\";"))
+    Class[C] = 1;
+  return Class;
+}();
 
-  std::vector<Sexp> readAll() {
-    std::vector<Sexp> Result;
+bool isSpace(char C) { return CharClass[static_cast<uint8_t>(C)] == 2; }
+bool isDelimiter(char C) { return CharClass[static_cast<uint8_t>(C)] != 0; }
+
+/// The class of every keyword, primitive and type name, open-addressed;
+/// the empty slot a probe ends on answers Plain for any other name.
+struct SymbolTable {
+  struct Entry {
+    std::string_view Name;
+    Sexp::Class Class = Sexp::Class::Plain;
+    uint8_t Id = 0;
+  } Slots[256];
+
+  /// The slot of \p Name, or the empty slot it would take.
+  const Entry &find(std::string_view Name) const {
+    uint32_t Hash = 2166136261u; // FNV-1a
+    for (char C : Name)
+      Hash = (Hash ^ static_cast<uint8_t>(C)) * 16777619u;
+    size_t I = Hash % 256;
+    while (!Slots[I].Name.empty() && Slots[I].Name != Name)
+      I = (I + 1) % 256;
+    return Slots[I];
+  }
+
+  void add(std::string_view Name, Sexp::Class Class, uint8_t Id) {
+    Entry &Slot = Slots[&find(Name) - Slots];
+    assert(Slot.Name.empty() && "name classified twice");
+    Slot = {Name, Class, Id};
+  }
+};
+
+const SymbolTable &symbolTable() {
+  static const SymbolTable Table = [] {
+    SymbolTable T;
+    using C = Sexp::Class;
+#define GRIFT_ADD(ID, NAME) T.add(NAME, C::Keyword, uint8_t(Keyword::ID));
+    GRIFT_KEYWORDS(GRIFT_ADD)
+#undef GRIFT_ADD
+#define GRIFT_ADD(ID, NAME) T.add(NAME, C::TypeName, uint8_t(TypeName::ID));
+    GRIFT_TYPE_NAMES(GRIFT_ADD)
+#undef GRIFT_ADD
+    uint8_t Prim = 0; // in PrimOp order: both follow Prims.def
+#define GRIFT_PRIM(ID, NAME, SIG) T.add(NAME, C::Prim, Prim++);
+#include "ast/Prims.def"
+#undef GRIFT_PRIM
+    return T;
+  }();
+  return Table;
+}
+
+/// The literal an atom spells (see Reader.h): Int, Float, or a Symbol
+/// for anything else, hex and `inf` included.
+Sexp::Kind literalKind(std::string_view Text) {
+  using K = Sexp::Kind;
+  size_t I = Text[0] == '+' || Text[0] == '-';
+  auto Digits = [&] { // skips a run of decimal digits; returns its length
+    size_t Start = I;
+    while (I < Text.size() && Text[I] >= '0' && Text[I] <= '9')
+      ++I;
+    return I - Start;
+  };
+  size_t Whole = Digits();
+  if (I == Text.size())
+    return Whole ? K::Int : K::Symbol;
+  size_t Fraction = Text[I] == '.' ? (++I, Digits()) : 0;
+  if (Whole + Fraction == 0)
+    return K::Symbol;
+  if (I < Text.size() && (Text[I] == 'e' || Text[I] == 'E')) {
+    ++I;
+    I += I < Text.size() && (Text[I] == '+' || Text[I] == '-');
+    if (Digits() == 0)
+      return K::Symbol;
+  }
+  return I == Text.size() ? K::Float : K::Symbol;
+}
+
+} // namespace
+
+namespace grift {
+
+/// Recursive-descent s-expression reader over a text buffer. A list's
+/// elements gather on Stack and move to the arena as one span when the
+/// list closes; the top-level data move last, and then every list's
+/// index becomes a pointer.
+class SexpReader {
+public:
+  SexpReader(std::string_view Source, DiagnosticEngine &Diags)
+      : Source(Source), Diags(Diags) {
+    Out.Nodes.reserve(Source.size() / 4);
+  }
+
+  SexpArena readAll() {
     for (;;) {
       skipTrivia();
       if (atEnd())
@@ -24,17 +116,24 @@ public:
       Sexp Datum = readDatum();
       if (Failed)
         break;
-      Result.push_back(std::move(Datum));
+      Stack.push_back(Datum);
     }
-    return Result;
+    Out.Roots = Stack.size();
+    Out.Nodes.insert(Out.Nodes.end(), Stack.begin(), Stack.end());
+    for (Sexp &Node : Out.Nodes)
+      if (Node.isList())
+        Node.Kids = Out.Nodes.data() + Node.First;
+    return std::move(Out);
   }
 
 private:
   std::string_view Source;
   DiagnosticEngine &Diags;
+  SexpArena Out;
+  std::vector<Sexp> Stack;
   size_t Pos = 0;
+  size_t LineStart = 0;
   uint32_t Line = 1;
-  uint32_t Column = 1;
   bool Failed = false;
 
   bool atEnd() const { return Pos >= Source.size(); }
@@ -44,14 +143,14 @@ private:
     char C = Source[Pos++];
     if (C == '\n') {
       ++Line;
-      Column = 1;
-    } else {
-      ++Column;
+      LineStart = Pos;
     }
     return C;
   }
 
-  SourceLoc here() const { return SourceLoc(Line, Column); }
+  SourceLoc here() const {
+    return SourceLoc(Line, static_cast<uint32_t>(Pos - LineStart + 1));
+  }
 
   void fail(SourceLoc Loc, std::string Message) {
     if (!Failed)
@@ -59,43 +158,40 @@ private:
     Failed = true;
   }
 
-  static bool isDelimiter(char C) {
-    return std::isspace(static_cast<unsigned char>(C)) || C == '(' ||
-           C == ')' || C == '[' || C == ']' || C == '"' || C == ';';
+  static Sexp make(Sexp::Kind Kind, SourceLoc Loc, int64_t Value = 0) {
+    Sexp S;
+    S.TheKind = Kind;
+    S.Loc = Loc;
+    S.IntVal = Value;
+    return S;
   }
 
   void skipTrivia() {
     while (!atEnd()) {
       char C = peek();
-      if (std::isspace(static_cast<unsigned char>(C))) {
+      if (isSpace(C)) {
         advance();
-        continue;
-      }
-      if (C == ';') {
+      } else if (C == ';') {
         while (!atEnd() && peek() != '\n')
-          advance();
-        continue;
-      }
-      if (C == '#' && Pos + 1 < Source.size() && Source[Pos + 1] == '|') {
+          ++Pos;
+      } else if (C == '#' && Pos + 1 < Source.size() &&
+                 Source[Pos + 1] == '|') {
         SourceLoc Start = here();
-        advance();
-        advance();
-        unsigned Depth = 1;
+        Pos += 2;
+        int Depth = 1;
         while (!atEnd() && Depth != 0) {
           char D = advance();
-          if (D == '#' && !atEnd() && peek() == '|') {
-            advance();
-            ++Depth;
-          } else if (D == '|' && !atEnd() && peek() == '#') {
-            advance();
-            --Depth;
+          if ((D == '#' || D == '|') && !atEnd() &&
+              peek() == (D == '#' ? '|' : '#')) {
+            ++Pos;
+            Depth += D == '#' ? 1 : -1;
           }
         }
         if (Depth != 0)
           fail(Start, "unterminated block comment");
-        continue;
+      } else {
+        return;
       }
-      break;
     }
   }
 
@@ -106,8 +202,8 @@ private:
       return readList(C == '(' ? ')' : ']');
     if (C == ')' || C == ']') {
       fail(Loc, "unexpected closing parenthesis");
-      advance();
-      return Sexp::makeList({}, Loc);
+      ++Pos;
+      return make(Sexp::Kind::List, Loc);
     }
     if (C == '"')
       return readString();
@@ -117,136 +213,127 @@ private:
   }
 
   Sexp readList(char Close) {
-    SourceLoc Loc = here();
-    advance(); // consume the opener
-    std::vector<Sexp> Elements;
+    Sexp List = make(Sexp::Kind::List, here());
+    ++Pos; // consume the opener
+    size_t Mark = Stack.size();
     for (;;) {
       skipTrivia();
       if (atEnd()) {
-        fail(Loc, "unterminated list");
+        fail(List.Loc, "unterminated list");
         break;
       }
       char C = peek();
       if (C == ')' || C == ']') {
         if (C != Close)
           fail(here(), "mismatched closing parenthesis");
-        advance();
+        ++Pos;
         break;
       }
       Sexp Datum = readDatum();
       if (Failed)
         break;
-      Elements.push_back(std::move(Datum));
+      Stack.push_back(Datum);
     }
-    return Sexp::makeList(std::move(Elements), Loc);
+    List.Len = static_cast<uint32_t>(Stack.size() - Mark);
+    List.First = Out.Nodes.size();
+    Out.Nodes.insert(Out.Nodes.end(), Stack.begin() + Mark, Stack.end());
+    Stack.resize(Mark);
+    return List;
   }
 
   Sexp readString() {
-    SourceLoc Loc = here();
-    advance(); // consume the quote
-    std::string Text;
+    Sexp S = make(Sexp::Kind::String, here());
+    ++Pos; // consume the quote
+    std::string &Text = Out.Strings.emplace_front();
     for (;;) {
       if (atEnd()) {
-        fail(Loc, "unterminated string literal");
+        fail(S.Loc, "unterminated string literal");
         break;
       }
       char C = advance();
       if (C == '"')
         break;
-      if (C == '\\') {
-        if (atEnd()) {
-          fail(Loc, "unterminated string escape");
-          break;
-        }
-        char E = advance();
-        switch (E) {
-        case 'n':
-          Text += '\n';
-          break;
-        case 't':
-          Text += '\t';
-          break;
-        case '\\':
-        case '"':
-          Text += E;
-          break;
-        default:
-          fail(Loc, std::string("unknown string escape '\\") + E + "'");
-          break;
-        }
-        continue;
+      if (C != '\\') {
+        Text += C;
+      } else if (atEnd()) {
+        fail(S.Loc, "unterminated string escape");
+        break;
+      } else if (char E = advance(); E == 'n' || E == 't') {
+        Text += E == 'n' ? '\n' : '\t';
+      } else if (E == '\\' || E == '"') {
+        Text += E;
+      } else {
+        fail(S.Loc, std::string("unknown string escape '\\") + E + "'");
       }
-      Text += C;
     }
-    return Sexp::makeString(std::move(Text), Loc);
+    S.Text = Text.data();
+    S.Len = static_cast<uint32_t>(Text.size());
+    return S;
   }
 
   Sexp readHash() {
     SourceLoc Loc = here();
-    advance(); // consume '#'
+    ++Pos; // consume '#'
     if (atEnd()) {
       fail(Loc, "dangling '#'");
-      return Sexp::makeList({}, Loc);
+      return make(Sexp::Kind::List, Loc);
     }
     char C = advance();
     if (C == 't' || C == 'f') {
       if (!atEnd() && !isDelimiter(peek()))
         fail(Loc, "junk after boolean literal");
-      return Sexp::makeBool(C == 't', Loc);
+      return make(Sexp::Kind::Bool, Loc, C == 't');
     }
-    if (C == '\\')
-      return readChar(Loc);
-    fail(Loc, std::string("unknown '#' syntax '#") + C + "'");
-    return Sexp::makeList({}, Loc);
-  }
-
-  Sexp readChar(SourceLoc Loc) {
+    if (C != '\\') {
+      fail(Loc, std::string("unknown '#' syntax '#") + C + "'");
+      return make(Sexp::Kind::List, Loc);
+    }
     if (atEnd()) {
       fail(Loc, "dangling character literal");
-      return Sexp::makeChar('?', Loc);
+      return make(Sexp::Kind::Char, Loc, '?');
     }
-    std::string Name;
-    Name += advance();
+    size_t Start = Pos;
+    advance();
     while (!atEnd() && !isDelimiter(peek()))
-      Name += advance();
+      ++Pos;
+    std::string_view Name = Source.substr(Start, Pos - Start);
     if (Name.size() == 1)
-      return Sexp::makeChar(Name[0], Loc);
-    if (Name == "newline")
-      return Sexp::makeChar('\n', Loc);
-    if (Name == "space")
-      return Sexp::makeChar(' ', Loc);
-    if (Name == "tab")
-      return Sexp::makeChar('\t', Loc);
-    if (Name == "nul")
-      return Sexp::makeChar('\0', Loc);
-    fail(Loc, "unknown character name '#\\" + Name + "'");
-    return Sexp::makeChar('?', Loc);
+      return make(Sexp::Kind::Char, Loc, static_cast<unsigned char>(Name[0]));
+    static constexpr std::pair<std::string_view, char> Named[] = {
+        {"newline", '\n'}, {"space", ' '}, {"tab", '\t'}, {"nul", '\0'}};
+    for (auto [Spelling, Char] : Named)
+      if (Name == Spelling)
+        return make(Sexp::Kind::Char, Loc, Char);
+    fail(Loc, "unknown character name '#\\" + std::string(Name) + "'");
+    return make(Sexp::Kind::Char, Loc, '?');
   }
 
   Sexp readAtom() {
-    SourceLoc Loc = here();
-    std::string Text;
+    Sexp S = make(Sexp::Kind::Symbol, here());
+    size_t Start = Pos;
     while (!atEnd() && !isDelimiter(peek()))
-      Text += advance();
-    assert(!Text.empty() && "empty atom");
-    int64_t IntValue = 0;
-    if (parseInt64(Text, IntValue))
-      return Sexp::makeInt(IntValue, Loc);
-    // A float needs a digit somewhere; bare `-`, `...`, etc. are symbols.
-    bool HasDigit = false;
-    for (char C : Text)
-      if (std::isdigit(static_cast<unsigned char>(C)))
-        HasDigit = true;
-    double FloatValue = 0;
-    if (HasDigit && parseDouble(Text, FloatValue))
-      return Sexp::makeFloat(FloatValue, Loc);
-    return Sexp::makeSymbol(std::move(Text), Loc);
+      ++Pos;
+    std::string_view Text = Source.substr(Start, Pos - Start);
+    S.TheKind = literalKind(Text);
+    if (S.TheKind == Sexp::Kind::Int && !parseInt64(Text, S.IntVal))
+      fail(S.Loc, "integer literal " + std::string(Text) +
+                      " is outside the fixnum range [-2^47, 2^47)");
+    if (S.TheKind == Sexp::Kind::Float && !parseDouble(Text, S.FloatVal))
+      fail(S.Loc, "float literal " + std::string(Text) +
+                      " is outside the Float range");
+    if (S.TheKind != Sexp::Kind::Symbol)
+      return S;
+    const SymbolTable::Entry &Class = symbolTable().find(Text);
+    S.TheClass = Class.Class;
+    S.Id = Class.Id;
+    S.Text = Text.data();
+    S.Len = static_cast<uint32_t>(Text.size());
+    return S;
   }
 };
 
-} // namespace
+} // namespace grift
 
-std::vector<Sexp> grift::readSexps(std::string_view Source,
-                                   DiagnosticEngine &Diags) {
-  return Reader(Source, Diags).readAll();
+SexpArena grift::readSexps(std::string_view Source, DiagnosticEngine &Diags) {
+  return SexpReader(Source, Diags).readAll();
 }

@@ -2,110 +2,12 @@
 
 #include "support/StringUtil.h"
 
-#include <cassert>
-
 using namespace grift;
-
-Sexp Sexp::makeSymbol(std::string Name, SourceLoc Loc) {
-  Sexp S;
-  S.TheKind = Kind::Symbol;
-  S.Text = std::move(Name);
-  S.Loc = Loc;
-  return S;
-}
-
-Sexp Sexp::makeInt(int64_t Value, SourceLoc Loc) {
-  Sexp S;
-  S.TheKind = Kind::Int;
-  S.IntVal = Value;
-  S.Loc = Loc;
-  return S;
-}
-
-Sexp Sexp::makeFloat(double Value, SourceLoc Loc) {
-  Sexp S;
-  S.TheKind = Kind::Float;
-  S.FloatVal = Value;
-  S.Loc = Loc;
-  return S;
-}
-
-Sexp Sexp::makeBool(bool Value, SourceLoc Loc) {
-  Sexp S;
-  S.TheKind = Kind::Bool;
-  S.IntVal = Value ? 1 : 0;
-  S.Loc = Loc;
-  return S;
-}
-
-Sexp Sexp::makeChar(char Value, SourceLoc Loc) {
-  Sexp S;
-  S.TheKind = Kind::Char;
-  S.IntVal = static_cast<unsigned char>(Value);
-  S.Loc = Loc;
-  return S;
-}
-
-Sexp Sexp::makeString(std::string Value, SourceLoc Loc) {
-  Sexp S;
-  S.TheKind = Kind::String;
-  S.Text = std::move(Value);
-  S.Loc = Loc;
-  return S;
-}
-
-Sexp Sexp::makeList(std::vector<Sexp> Elements, SourceLoc Loc) {
-  Sexp S;
-  S.TheKind = Kind::List;
-  S.Elements = std::move(Elements);
-  S.Loc = Loc;
-  return S;
-}
-
-const std::string &Sexp::symbol() const {
-  assert(TheKind == Kind::Symbol && "not a symbol");
-  return Text;
-}
-
-const std::string &Sexp::string() const {
-  assert(TheKind == Kind::String && "not a string");
-  return Text;
-}
-
-int64_t Sexp::intValue() const {
-  assert(TheKind == Kind::Int && "not an int");
-  return IntVal;
-}
-
-double Sexp::floatValue() const {
-  assert(TheKind == Kind::Float && "not a float");
-  return FloatVal;
-}
-
-bool Sexp::boolValue() const {
-  assert(TheKind == Kind::Bool && "not a bool");
-  return IntVal != 0;
-}
-
-char Sexp::charValue() const {
-  assert(TheKind == Kind::Char && "not a char");
-  return static_cast<char>(IntVal);
-}
-
-const std::vector<Sexp> &Sexp::elements() const {
-  assert(TheKind == Kind::List && "not a list");
-  return Elements;
-}
-
-const Sexp &Sexp::operator[](size_t Index) const {
-  assert(Index < elements().size() && "sexp index out of range");
-  return Elements[Index];
-}
 
 std::string Sexp::str() const {
   switch (TheKind) {
   case Kind::Symbol:
-    return Text;
+    return std::string(symbol());
   case Kind::Int:
     return std::to_string(IntVal);
   case Kind::Float:
@@ -124,7 +26,7 @@ std::string Sexp::str() const {
   }
   case Kind::String: {
     std::string Out = "\"";
-    for (char C : Text) {
+    for (char C : string()) {
       if (C == '"' || C == '\\')
         Out += '\\';
       Out += C;
@@ -134,10 +36,10 @@ std::string Sexp::str() const {
   }
   case Kind::List: {
     std::string Out = "(";
-    for (size_t I = 0; I != Elements.size(); ++I) {
-      if (I != 0)
+    for (const Sexp &Element : *this) {
+      if (&Element != begin())
         Out += ' ';
-      Out += Elements[I].str();
+      Out += Element.str();
     }
     Out += ')';
     return Out;

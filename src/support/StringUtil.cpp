@@ -1,40 +1,67 @@
 #include "support/StringUtil.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace grift;
 
+/// Skips a leading '+', which strtoll and strtod take and from_chars
+/// does not, unless a second sign follows it.
+static const char *skipPlus(std::string_view Text) {
+  const char *First = Text.data();
+  if (Text.size() > 1 && Text[0] == '+' && Text[1] != '-')
+    ++First;
+  return First;
+}
+
 bool grift::parseInt64(std::string_view Text, int64_t &Out) {
-  if (Text.empty())
+  const char *Last = Text.data() + Text.size();
+  int64_t Value = 0;
+  auto [End, Error] = std::from_chars(skipPlus(Text), Last, Value);
+  if (Error != std::errc() || End != Last)
     return false;
-  std::string Buf(Text);
-  errno = 0;
-  char *End = nullptr;
-  long long Value = std::strtoll(Buf.c_str(), &End, 10);
-  if (errno == ERANGE || End != Buf.c_str() + Buf.size())
-    return false;
-  Out = static_cast<int64_t>(Value);
+  Out = Value;
   return true;
 }
 
+/// The decimal exponent of a decimal literal's leading significant digit
+/// plus one: positive when its magnitude is at least 1.
+static long decimalMagnitude(const char *P, const char *Last) {
+  long Magnitude = 0;
+  bool Significant = false, Point = false;
+  for (P += *P == '-'; P != Last && *P != 'e' && *P != 'E'; ++P) {
+    if (*P == '.') {
+      Point = true;
+    } else if (*P == '0' && !Significant) {
+      Magnitude -= Point; // a zero between the point and the first digit
+    } else {
+      Significant = true;
+      Magnitude += !Point;
+    }
+  }
+  long Exponent = 0;
+  bool Negative = P != Last && P + 1 != Last && P[1] == '-';
+  for (P += P != Last; P != Last && Exponent < 100000; ++P)
+    if (*P >= '0' && *P <= '9')
+      Exponent = Exponent * 10 + (*P - '0');
+  return Magnitude + (Negative ? -Exponent : Exponent);
+}
+
 bool grift::parseDouble(std::string_view Text, double &Out) {
-  if (Text.empty())
+  const char *First = skipPlus(Text), *Last = Text.data() + Text.size();
+  double Value = 0;
+  auto [End, Error] = std::from_chars(First, Last, Value);
+  if (End != Last || First == Last)
     return false;
-  std::string Buf(Text);
-  errno = 0;
-  char *End = nullptr;
-  double Value = std::strtod(Buf.c_str(), &End);
-  if (End != Buf.c_str() + Buf.size())
+  if (Error == std::errc::result_out_of_range) {
+    // Like strtod: an underflow rounds to a signed zero, an overflow fails.
+    if (decimalMagnitude(First, Last) > 0)
+      return false;
+    Value = *First == '-' ? -0.0 : 0.0;
+  } else if (Error != std::errc()) {
     return false;
-  // ERANGE covers both overflow (result is ±HUGE_VAL) and underflow
-  // (result is a representable denormal, or zero). Denormals like
-  // 5e-324 are perfectly good doubles — only reject overflow.
-  if (errno == ERANGE && std::isinf(Value))
-    return false;
+  }
   Out = Value;
   return true;
 }

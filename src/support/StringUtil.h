@@ -14,10 +14,13 @@
 
 namespace grift {
 
-/// Returns true if \p Text parses completely as a signed 64-bit integer.
+/// Returns true if \p Text parses completely as a signed 64-bit decimal
+/// integer (an optional sign, then digits). Independent of the locale.
 bool parseInt64(std::string_view Text, int64_t &Out);
 
-/// Returns true if \p Text parses completely as a double.
+/// Returns true if \p Text parses completely as a decimal double. An
+/// overflow fails; an underflow reads as a signed zero, as with strtod.
+/// Independent of the locale.
 bool parseDouble(std::string_view Text, double &Out);
 
 /// Renders a double the way the runtime prints Float values: shortest

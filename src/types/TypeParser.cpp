@@ -23,89 +23,92 @@ public:
 private:
   TypeContext &Ctx;
   DiagnosticEngine &Diags;
-  std::vector<std::string> RecVars; // innermost binder last
+  std::vector<std::string_view> RecVars; // innermost binder last
 
   const Type *parseName(const Sexp &Datum) {
-    const std::string &Name = Datum.symbol();
-    if (Name == "Dyn")
-      return Ctx.dyn();
-    if (Name == "Unit")
-      return Ctx.unit();
-    if (Name == "Bool")
-      return Ctx.boolean();
-    if (Name == "Int")
-      return Ctx.integer();
-    if (Name == "Char")
-      return Ctx.character();
-    if (Name == "Float")
-      return Ctx.floating();
+    // The atomic names come first in TypeName, in this order.
+    if (Datum.symbolClass() == Sexp::Class::TypeName &&
+        Datum.id() <= uint8_t(TypeName::Float)) {
+      const Type *Atomic[] = {Ctx.dyn(),     Ctx.unit(),      Ctx.boolean(),
+                              Ctx.integer(), Ctx.character(), Ctx.floating()};
+      return Atomic[Datum.id()];
+    }
     // A Rec-bound variable: innermost binder has de Bruijn index 0.
+    std::string_view Name = Datum.symbol();
     for (size_t I = RecVars.size(); I-- > 0;)
       if (RecVars[I] == Name)
         return Ctx.var(static_cast<uint32_t>(RecVars.size() - 1 - I));
-    Diags.error(Datum.loc(), "unknown type name '" + Name + "'");
+    Diags.error(Datum.loc(), "unknown type name '" + std::string(Name) + "'");
     return nullptr;
   }
 
   const Type *parseList(const Sexp &Datum) {
-    const auto &Elements = Datum.elements();
-    if (Elements.empty())
+    size_t Size = Datum.size();
+    if (Size == 0)
       return Ctx.unit(); // `()` — the Unit type, as in `-> ()`.
     // Function types contain a `->` in the second-to-last position.
-    if (Elements.size() >= 2 && Elements[Elements.size() - 2].isSymbol("->"))
+    if (Size >= 2 && Datum[Size - 2].is(TypeName::Arrow))
       return parseFunction(Datum);
-    const Sexp &Head = Elements[0];
-    if (Head.isSymbol("Tuple")) {
-      std::vector<const Type *> Members;
-      for (size_t I = 1; I != Elements.size(); ++I) {
-        const Type *T = parse(Elements[I]);
-        if (!T)
+    const Sexp &Head = Datum[0];
+    if (Head.symbolClass() == Sexp::Class::TypeName) {
+      switch (TypeName(Head.id())) {
+      case TypeName::Tuple: {
+        std::vector<const Type *> Members;
+        if (!parseEach(Datum, 1, Size, Members))
           return nullptr;
-        Members.push_back(T);
+        if (Members.empty()) {
+          Diags.error(Datum.loc(), "tuple type needs at least one element");
+          return nullptr;
+        }
+        return Ctx.tuple(std::move(Members));
       }
-      if (Members.empty()) {
-        Diags.error(Datum.loc(), "tuple type needs at least one element");
-        return nullptr;
+      case TypeName::Ref:
+      case TypeName::Vect: {
+        if (Size != 2) {
+          Diags.error(Datum.loc(), Head.str() +
+                                       " type takes exactly one element type");
+          return nullptr;
+        }
+        const Type *Element = parse(Datum[1]);
+        if (!Element)
+          return nullptr;
+        return Head.is(TypeName::Ref) ? Ctx.box(Element) : Ctx.vect(Element);
       }
-      return Ctx.tuple(std::move(Members));
-    }
-    if (Head.isSymbol("Ref") || Head.isSymbol("Vect")) {
-      if (Elements.size() != 2) {
-        Diags.error(Datum.loc(),
-                    Head.symbol() + " type takes exactly one element type");
-        return nullptr;
+      case TypeName::Rec: {
+        if (Size != 3 || !Datum[1].isSymbol()) {
+          Diags.error(Datum.loc(), "expected (Rec x T)");
+          return nullptr;
+        }
+        RecVars.push_back(Datum[1].symbol());
+        const Type *Body = parse(Datum[2]);
+        RecVars.pop_back();
+        if (!Body)
+          return nullptr;
+        return Ctx.rec(Body);
       }
-      const Type *Element = parse(Elements[1]);
-      if (!Element)
-        return nullptr;
-      return Head.isSymbol("Ref") ? Ctx.box(Element) : Ctx.vect(Element);
-    }
-    if (Head.isSymbol("Rec")) {
-      if (Elements.size() != 3 || !Elements[1].isSymbol()) {
-        Diags.error(Datum.loc(), "expected (Rec x T)");
-        return nullptr;
+      default:
+        break;
       }
-      RecVars.push_back(Elements[1].symbol());
-      const Type *Body = parse(Elements[2]);
-      RecVars.pop_back();
-      if (!Body)
-        return nullptr;
-      return Ctx.rec(Body);
     }
     Diags.error(Datum.loc(), "malformed type '" + Datum.str() + "'");
     return nullptr;
   }
 
+  /// Parses List[First..Last) into \p Out; false on an error.
+  bool parseEach(const Sexp &List, size_t First, size_t Last,
+                 std::vector<const Type *> &Out) {
+    Out.reserve(Last - First);
+    for (size_t I = First; I != Last; ++I)
+      if (!Out.emplace_back(parse(List[I])))
+        return false;
+    return true;
+  }
+
   const Type *parseFunction(const Sexp &Datum) {
-    const auto &Elements = Datum.elements();
     std::vector<const Type *> Params;
-    for (size_t I = 0; I + 2 < Elements.size(); ++I) {
-      const Type *P = parse(Elements[I]);
-      if (!P)
-        return nullptr;
-      Params.push_back(P);
-    }
-    const Type *Result = parse(Elements.back());
+    if (!parseEach(Datum, 0, Datum.size() - 2, Params))
+      return nullptr;
+    const Type *Result = parse(Datum[Datum.size() - 1]);
     if (!Result)
       return nullptr;
     return Ctx.function(std::move(Params), Result);

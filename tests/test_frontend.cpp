@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 #include "frontend/Parser.h"
 #include "frontend/TypeChecker.h"
+#include "sexp/Reader.h"
 #include "types/TypeParser.h"
 
 #include <gtest/gtest.h>
@@ -390,4 +391,55 @@ TEST_F(FrontendTest, FunctionReturningFunction) {
       resultType("(lambda ([x : Int]) (lambda ([y : Int]) (+ x y)))"),
       Ctx.function({Ctx.integer()},
                    Ctx.function({Ctx.integer()}, Ctx.integer())));
+}
+
+TEST_F(FrontendTest, NumberLiteralsOutsideTheirRangeAreReadErrors) {
+  auto diagnose = [&](std::string_view Source) {
+    DiagnosticEngine Diags;
+    auto Prog = parseProgram(Ctx, Source, Diags);
+    EXPECT_FALSE(Prog.has_value()) << Source;
+    return Diags.str();
+  };
+  EXPECT_EQ(diagnose("(+ 99999999999999999999 1)"),
+            "error: 1:4: integer literal 99999999999999999999 is outside "
+            "the fixnum range [-2^47, 2^47)\n");
+  EXPECT_EQ(diagnose("(fl+ 1e400 1.0)"),
+            "error: 1:6: float literal 1e400 is outside the Float range\n");
+  // In int64 but not a fixnum: the parser's check, printed as before.
+  EXPECT_EQ(diagnose("(+ +140737488355328 1)"),
+            "error: 1:4: integer literal 140737488355328 is outside the "
+            "fixnum range [-2^47, 2^47)\n");
+}
+
+TEST_F(FrontendTest, HexSpellingIsAVariableNotAFloat) {
+  DiagnosticEngine Diags;
+  auto Prog = parseProgram(Ctx, "(fl+ 0x10 1.0)", Diags);
+  ASSERT_TRUE(Prog.has_value()) << Diags.str();
+  auto Core = typeCheck(Ctx, *Prog, Diags);
+  EXPECT_FALSE(Core.has_value());
+  EXPECT_EQ(Diags.str(), "error: 1:6: undefined variable '0x10'\n");
+}
+
+TEST_F(FrontendTest, PrimitiveSymbolsCarryTheirPrimOp) {
+  for (unsigned I = 0; I != numPrims(); ++I) {
+    std::string Name(primName(PrimOp(I)));
+    DiagnosticEngine Diags;
+    SexpArena Data = readSexps(Name, Diags);
+    ASSERT_EQ(Data.size(), 1u) << Name;
+    EXPECT_EQ(Data[0].symbolClass(), Sexp::Class::Prim) << Name;
+    EXPECT_EQ(Data[0].id(), I) << Name;
+  }
+}
+
+TEST_F(FrontendTest, ShadowingFollowsTheInnermostBinding) {
+  // Flat scopes: an inner binding hides an outer one until its scope
+  // ends, and a repeated name in one scope means its last binding.
+  EXPECT_EQ(resultType("(let ([x 1]) (let ([x #t]) x))"), Ctx.boolean());
+  EXPECT_EQ(resultType("(let ([x 1]) (begin (let ([x #t]) x) x))"),
+            Ctx.integer());
+  EXPECT_EQ(resultType("((lambda ([x : Int] [x : Bool]) x) 1 #t)"),
+            Ctx.boolean());
+  EXPECT_EQ(resultType("(let ([x 1.5]) (repeat (x 0 3) (acc 0) (+ acc x)))"),
+            Ctx.integer());
+  checkFails("(let ([y (let ([x 1]) x)]) x)");
 }

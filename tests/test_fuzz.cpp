@@ -13,12 +13,15 @@
 /// standalone.
 ///
 //===----------------------------------------------------------------------===//
+#include "frontend/Parser.h"
 #include "fuzz/FuzzGen.h"
 #include "grift/Grift.h"
 #include "refinterp/RefInterp.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 using namespace grift;
 using grift::fuzz::ProgramGen;
@@ -256,3 +259,64 @@ TEST_P(FuzzLimited, TinyFuelFailsGracefullyAndEngineStaysUsable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, FuzzLimited, ::testing::Range(0, 8));
+
+//===----------------------------------------------------------------------===//
+// Reader robustness: trivia and bracket style never change the program
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Rewrites \p Source with random trivia at its whitespace: line
+/// comments, nested block comments and extra newlines, and with `[]` in
+/// place of some `()` pairs. Character literals are copied untouched.
+std::string addTrivia(const std::string &Source, RNG &Gen) {
+  static const char *Trivia[] = {" ; note ( ] |#\n", " #| a #| (b] |# c |# ",
+                                 "\n\n", "\t;\n  ", " #||# "};
+  std::string Out;
+  std::vector<size_t> Open; // positions in Out of unmatched '('
+  for (size_t I = 0; I != Source.size(); ++I) {
+    char C = Source[I];
+    if (C == '#' && I + 1 < Source.size() && Source[I + 1] == '\\') {
+      Out += Source.substr(I, 3); // `#\x`; longer names hold no parens
+      I += 2;
+      continue;
+    }
+    if (C == ' ' && Gen.flip(0.3)) {
+      Out += Trivia[Gen.below(std::size(Trivia))];
+      continue;
+    }
+    if (C == '(') {
+      Open.push_back(Out.size());
+    } else if (C == ')' && !Open.empty()) {
+      size_t At = Open.back();
+      Open.pop_back();
+      if (Gen.flip(0.5)) {
+        Out[At] = '[';
+        C = ']';
+      }
+    }
+    Out += C;
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(FuzzReader, TriviaAndBracketsLeaveTheProgramUnchanged) {
+  const unsigned Iters = fuzz::iterationCount(200);
+  fuzz::GenOptions Opts;
+  Opts.Structural = true;
+  for (unsigned Iter = 0; Iter != Iters; ++Iter) {
+    const uint64_t Seed = 0x7E1A + Iter;
+    TypeContext Types;
+    RNG Gen(Seed);
+    std::string Source = ProgramGen(Types, Gen, Opts).program();
+    std::string Noisy = addTrivia(Source, Gen);
+    DiagnosticEngine Diags;
+    std::optional<Program> Plain = parseProgram(Types, Source, Diags);
+    ASSERT_TRUE(Plain.has_value()) << Diags.str() << replay(Seed, Source);
+    std::optional<Program> Read = parseProgram(Types, Noisy, Diags);
+    ASSERT_TRUE(Read.has_value()) << Diags.str() << replay(Seed, Noisy);
+    EXPECT_EQ(Read->str(), Plain->str()) << replay(Seed, Noisy);
+  }
+}

@@ -8,13 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace grift;
 
 namespace {
 
-std::vector<Sexp> readOk(std::string_view Source) {
+SexpArena readOk(std::string_view Source) {
   DiagnosticEngine Diags;
-  std::vector<Sexp> Data = readSexps(Source, Diags);
+  SexpArena Data = readSexps(Source, Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return Data;
 }
@@ -23,6 +25,15 @@ void expectReadError(std::string_view Source) {
   DiagnosticEngine Diags;
   readSexps(Source, Diags);
   EXPECT_TRUE(Diags.hasErrors()) << "expected a read error for: " << Source;
+}
+
+/// The single diagnostic a failed read reports, as "line:col: message".
+std::string readError(std::string_view Source) {
+  DiagnosticEngine Diags;
+  readSexps(Source, Diags);
+  const auto &All = Diags.diagnostics();
+  EXPECT_EQ(All.size(), 1u) << Source;
+  return All.empty() ? "" : All[0].Loc.str() + ": " + All[0].Message;
 }
 
 } // namespace
@@ -91,16 +102,16 @@ TEST(Reader, NestedLists) {
   const Sexp &Define = Data[0];
   ASSERT_TRUE(Define.isList());
   ASSERT_EQ(Define.size(), 5u);
-  EXPECT_TRUE(Define[0].isSymbol("define"));
+  EXPECT_TRUE(Define[0].is(Keyword::Define));
   EXPECT_TRUE(Define[1].isList());
   EXPECT_TRUE(Define[1][1].isList());
-  EXPECT_TRUE(Define[1][1][0].isSymbol("x"));
+  EXPECT_EQ(Define[1][1][0].symbol(), "x");
 }
 
 TEST(Reader, BracketsAreParens) {
   auto Data = readOk("[let ([x 1]) x]");
   ASSERT_EQ(Data.size(), 1u);
-  EXPECT_TRUE(Data[0][0].isSymbol("let"));
+  EXPECT_TRUE(Data[0][0].is(Keyword::Let));
 }
 
 TEST(Reader, MismatchedBracketFails) {
@@ -141,7 +152,9 @@ TEST(Reader, StrRoundTrip) {
   const char *Source = "(define x (tuple 1 2.5 #t #\\a \"s\" ()))";
   auto Data = readOk(Source);
   ASSERT_EQ(Data.size(), 1u);
-  auto Again = readOk(Data[0].str());
+  // Symbols view their source, which must outlive the arena.
+  std::string Text = Data[0].str();
+  auto Again = readOk(Text);
   ASSERT_EQ(Again.size(), 1u);
   EXPECT_EQ(Again[0].str(), Data[0].str());
 }
@@ -149,4 +162,102 @@ TEST(Reader, StrRoundTrip) {
 TEST(Reader, UnknownHashSyntaxFails) {
   expectReadError("#q");
   expectReadError("#\\bogusname");
+}
+
+TEST(Reader, DiagnosticsPinMessageAndLocation) {
+  EXPECT_EQ(readError("(a b"), "1:1: unterminated list");
+  EXPECT_EQ(readError("(f\n  (g 1"), "2:3: unterminated list");
+  EXPECT_EQ(readError("\"abc"), "1:1: unterminated string literal");
+  EXPECT_EQ(readError("\"abc\\"), "1:1: unterminated string escape");
+  EXPECT_EQ(readError("1 #| x #| y |# z"), "1:3: unterminated block comment");
+  EXPECT_EQ(readError("(let [x 1)]"), "1:10: mismatched closing parenthesis");
+  EXPECT_EQ(readError("(f\n  (g [x 1)))"),
+            "2:10: mismatched closing parenthesis");
+  EXPECT_EQ(readError(")"), "1:1: unexpected closing parenthesis");
+  EXPECT_EQ(readError("\n  ]"), "2:3: unexpected closing parenthesis");
+  EXPECT_EQ(readError("\"a\\qb\""), "1:1: unknown string escape '\\q'");
+  EXPECT_EQ(readError("#"), "1:1: dangling '#'");
+  EXPECT_EQ(readError("#\\"), "1:1: dangling character literal");
+  EXPECT_EQ(readError("(f #\\bogusname)"),
+            "1:4: unknown character name '#\\bogusname'");
+  EXPECT_EQ(readError("#q"), "1:1: unknown '#' syntax '#q'");
+  EXPECT_EQ(readError("  #tx"), "1:3: junk after boolean literal");
+}
+
+TEST(Reader, LocationsCountBytesAfterNewlinesInsideTokens) {
+  auto Data = readOk("\"a\nb\" #\\\n #| x\n |# (f\ty)");
+  ASSERT_EQ(Data.size(), 3u);
+  EXPECT_EQ(Data[0].string(), "a\nb");
+  EXPECT_EQ(Data[1].charValue(), '\n');
+  EXPECT_EQ(Data[1].loc(), SourceLoc(2, 4));
+  EXPECT_EQ(Data[2].loc(), SourceLoc(4, 5));
+  EXPECT_EQ(Data[2][1].loc(), SourceLoc(4, 8));
+}
+
+TEST(Reader, IntegerOutsideInt64IsAFixnumRangeError) {
+  EXPECT_EQ(readError("(+ 99999999999999999999 1)"),
+            "1:4: integer literal 99999999999999999999 is outside the "
+            "fixnum range [-2^47, 2^47)");
+  EXPECT_EQ(readError("-9223372036854775809"),
+            "1:1: integer literal -9223372036854775809 is outside the "
+            "fixnum range [-2^47, 2^47)");
+  auto Data = readOk("9223372036854775807 -9223372036854775808");
+  ASSERT_EQ(Data.size(), 2u);
+  EXPECT_EQ(Data[0].intValue(), INT64_MAX);
+  EXPECT_EQ(Data[1].intValue(), INT64_MIN);
+}
+
+TEST(Reader, HexAndOtherNonDecimalSpellingsAreSymbols) {
+  auto Data = readOk("0x10 0x1p3 1e5x 1e +- . inf 1.5.2");
+  ASSERT_EQ(Data.size(), 8u);
+  for (const Sexp &Datum : Data)
+    EXPECT_TRUE(Datum.isSymbol()) << Datum.str();
+  EXPECT_EQ(Data[0].symbol(), "0x10");
+}
+
+TEST(Reader, FloatOutsideDoubleRangeIsAnError) {
+  EXPECT_EQ(readError("1e400"),
+            "1:1: float literal 1e400 is outside the Float range");
+  EXPECT_EQ(readError("(f -1.5e309)"),
+            "1:4: float literal -1.5e309 is outside the Float range");
+}
+
+TEST(Reader, AcceptedNumberSpellingsAreKept) {
+  auto Data = readOk("+5 -3 1e5 5e-324 .5 2. -.5e-3 1E2 1e-400 -1e-400");
+  ASSERT_EQ(Data.size(), 10u);
+  EXPECT_EQ(Data[0].intValue(), 5);
+  EXPECT_EQ(Data[1].intValue(), -3);
+  EXPECT_EQ(Data[2].floatValue(), 1e5);
+  EXPECT_EQ(Data[3].floatValue(), 5e-324);
+  EXPECT_EQ(Data[4].floatValue(), 0.5);
+  EXPECT_EQ(Data[5].floatValue(), 2.0);
+  EXPECT_EQ(Data[6].floatValue(), -0.5e-3);
+  EXPECT_EQ(Data[7].floatValue(), 100.0);
+  // An underflow reads as a signed zero, as strtod gives.
+  EXPECT_EQ(Data[8].floatValue(), 0.0);
+  EXPECT_FALSE(std::signbit(Data[8].floatValue()));
+  EXPECT_TRUE(std::signbit(Data[9].floatValue()));
+}
+
+TEST(Reader, SymbolsAreClassifiedAtReadTime) {
+#define GRIFT_CHECK(ID, NAME)                                                  \
+  {                                                                            \
+    auto Data = readOk(NAME);                                                  \
+    ASSERT_EQ(Data.size(), 1u);                                                \
+    EXPECT_TRUE(Data[0].is(KIND::ID)) << NAME;                                 \
+    EXPECT_EQ(Data[0].symbol(), NAME);                                         \
+  }
+#define KIND Keyword
+  GRIFT_KEYWORDS(GRIFT_CHECK)
+#undef KIND
+#define KIND TypeName
+  GRIFT_TYPE_NAMES(GRIFT_CHECK)
+#undef KIND
+#undef GRIFT_CHECK
+  auto Data = readOk("x Tuplex iff define? (if)");
+  for (size_t I = 0; I != 4; ++I)
+    EXPECT_EQ(Data[I].symbolClass(), Sexp::Class::Plain) << Data[I].str();
+  EXPECT_EQ(Data[4].symbolClass(), Sexp::Class::Plain);
+  EXPECT_TRUE(Data[4][0].is(Keyword::If));
+  EXPECT_FALSE(Data[4][0].is(TypeName::Dyn));
 }

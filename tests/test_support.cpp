@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace grift;
 
 TEST(SourceLoc, DefaultIsInvalid) {
@@ -72,8 +74,48 @@ TEST(StringUtil, ParseDouble) {
   EXPECT_FALSE(parseDouble("1.5q", Value));
 }
 
+TEST(StringUtil, ParseInt64SignsAndRange) {
+  int64_t Value = 0;
+  EXPECT_TRUE(parseInt64("+5", Value));
+  EXPECT_EQ(Value, 5);
+  EXPECT_TRUE(parseInt64("9223372036854775807", Value));
+  EXPECT_EQ(Value, INT64_MAX);
+  EXPECT_TRUE(parseInt64("-9223372036854775808", Value));
+  EXPECT_EQ(Value, INT64_MIN);
+  Value = 7;
+  EXPECT_FALSE(parseInt64("9223372036854775808", Value));
+  EXPECT_FALSE(parseInt64("+-5", Value));
+  EXPECT_FALSE(parseInt64("+", Value));
+  EXPECT_FALSE(parseInt64("0x10", Value));
+  EXPECT_FALSE(parseInt64(" 5", Value));
+  EXPECT_EQ(Value, 7) << "a failed parse leaves Out alone";
+}
+
+TEST(StringUtil, ParseDoubleIsDecimalOnly) {
+  double Value = 0;
+  EXPECT_TRUE(parseDouble("+1.5", Value));
+  EXPECT_EQ(Value, 1.5);
+  EXPECT_TRUE(parseDouble("5e-324", Value));
+  EXPECT_EQ(Value, 5e-324);
+  EXPECT_TRUE(parseDouble("1e-400", Value));
+  EXPECT_EQ(Value, 0.0);
+  EXPECT_FALSE(std::signbit(Value));
+  EXPECT_TRUE(parseDouble("-0.0001e-400", Value));
+  EXPECT_TRUE(std::signbit(Value));
+  Value = 7;
+  EXPECT_FALSE(parseDouble("1e400", Value));
+  EXPECT_FALSE(parseDouble("0.001e312", Value));
+  EXPECT_FALSE(parseDouble("0x10", Value));
+  EXPECT_FALSE(parseDouble("0x1p3", Value));
+  EXPECT_FALSE(parseDouble("+-1", Value));
+  EXPECT_FALSE(parseDouble("", Value));
+  EXPECT_EQ(Value, 7) << "a failed parse leaves Out alone";
+}
+
 TEST(StringUtil, FormatDoubleRoundTrips) {
-  for (double Value : {0.0, 1.0, -1.5, 3.141592653589793, 1e-9, 1e300}) {
+  for (double Value : {0.0, 1.0, -1.5, 3.141592653589793, 1e-9, 1e300,
+                       5e-324, 1.7976931348623157e308, -2.2250738585072014e-308,
+                       0.1 + 0.2}) {
     double Back = 0;
     ASSERT_TRUE(parseDouble(formatDouble(Value), Back));
     EXPECT_EQ(Back, Value);
