@@ -1,5 +1,7 @@
 #include "vm/Bytecode.h"
 
+#include "support/StringUtil.h"
+
 using namespace grift;
 
 const char *grift::opName(Op Code) {
@@ -142,17 +144,61 @@ std::string VMProgram::str() const {
   std::string Out;
   for (size_t F = 0; F != Functions.size(); ++F) {
     const VMFunction &Fn = Functions[F];
-    Out += "fn " + std::to_string(F) + " \"" + Fn.Name +
-           "\" params=" + std::to_string(Fn.NumParams) +
-           " locals=" + std::to_string(Fn.NumLocals) + "\n";
+    Out += "fn ";
+    Out += std::to_string(F);
+    Out += " \"";
+    Out += Fn.Name;
+    Out += "\" params=";
+    Out += std::to_string(Fn.NumParams);
+    Out += " locals=";
+    Out += std::to_string(Fn.NumLocals);
+    Out += '\n';
     for (size_t I = 0; I != Fn.Code.size(); ++I) {
       const Instr &Ins = Fn.Code[I];
-      Out += "  " + std::to_string(I) + ": " + opName(Ins.Code);
-      Out += " " + std::to_string(Ins.A);
-      if (Ins.B != 0)
-        Out += " " + std::to_string(Ins.B);
-      Out += "\n";
+      Out += "  ";
+      Out += std::to_string(I);
+      Out += ": ";
+      Out += opName(Ins.Code);
+      Out += ' ';
+      Out += std::to_string(Ins.A);
+      if (Ins.B != 0) {
+        Out += ' ';
+        Out += std::to_string(Ins.B);
+      }
+      Out += '\n';
     }
   }
+  // The side tables the instructions index, in table order.
+  auto Table = [&](const char *Name, size_t Size, auto &&Row) {
+    Out += Name;
+    Out += ' ';
+    Out += std::to_string(Size);
+    Out += '\n';
+    for (size_t I = 0; I != Size; ++I) {
+      Out += "  ";
+      Out += std::to_string(I);
+      Out += ": ";
+      Row(I);
+      Out += '\n';
+    }
+  };
+  auto Label = [&](const std::string *L) {
+    Out += '@';
+    Out += L ? *L : "?";
+  };
+  Table("casts", Casts.size(), [&](size_t I) {
+    Out += Casts[I].Src->str();
+    Out += " => ";
+    Out += Casts[I].Tgt->str();
+    Out += ' ';
+    Label(Casts[I].Label);
+  });
+  Table("sites", Sites.size(), [&](size_t I) { Label(Sites[I].Label); });
+  Table("types", TypePool.size(), [&](size_t I) { Out += TypePool[I]->str(); });
+  Table("floats", FloatPool.size(),
+        [&](size_t I) { Out += formatDouble(FloatPool[I]); });
+  Table("ints", IntPool.size(),
+        [&](size_t I) { Out += std::to_string(IntPool[I]); });
+  Table("globals", GlobalNames.size(), [&](size_t I) { Out += GlobalNames[I]; });
   return Out;
 }
