@@ -7,181 +7,185 @@ using namespace grift::core;
 
 namespace {
 
-void printNode(const Node &N, std::string &Out);
+/// Renders nodes, reading binder and global names from the program's
+/// name table.
+struct Printer {
+  const NameTable &Names;
+  std::string &Out;
 
-void printSubs(const Node &N, std::string &Out, size_t Start = 0) {
-  for (size_t I = Start; I != N.Subs.size(); ++I) {
-    Out += ' ';
-    printNode(*N.Subs[I], Out);
-  }
-}
-
-void printHead(const char *Head, const Node &N, std::string &Out) {
-  Out += '(';
-  Out += Head;
-  printSubs(N, Out);
-  Out += ')';
-}
-
-void printNode(const Node &N, std::string &Out) {
-  switch (N.Kind) {
-  case NodeKind::LitUnit:
-    Out += "()";
-    return;
-  case NodeKind::LitBool:
-    Out += N.BoolVal ? "#t" : "#f";
-    return;
-  case NodeKind::LitInt:
-    Out += std::to_string(N.IntVal);
-    return;
-  case NodeKind::LitFloat:
-    Out += formatDouble(N.FloatVal);
-    return;
-  case NodeKind::LitChar:
-    Out += "#\\";
-    Out += N.CharVal;
-    return;
-  case NodeKind::LocalRef:
-    Out += N.Name;
-    return;
-  case NodeKind::GlobalRef:
-    Out += N.Name;
-    return;
-  case NodeKind::If:
-    printHead("if", N, Out);
-    return;
-  case NodeKind::Lambda: {
-    Out += "(lambda (";
-    for (size_t I = 0; I != N.ParamNames.size(); ++I) {
-      if (I != 0)
-        Out += ' ';
-      Out += N.ParamNames[I];
-      Out += " : ";
-      Out += N.Ty->param(I)->str();
+  void subs(const Node &N) {
+    for (const NodePtr &Sub : N.Subs) {
+      Out += ' ';
+      node(*Sub);
     }
-    Out += ") ";
-    printNode(*N.Subs[0], Out);
-    Out += ')';
-    return;
   }
-  case NodeKind::App:
-    printHead("app", N, Out);
-    return;
-  case NodeKind::AppDyn:
-    printHead("app-dyn", N, Out);
-    return;
-  case NodeKind::PrimApp: {
+
+  void head(const char *Head, const Node &N) {
     Out += '(';
-    Out += primName(N.Prim);
-    printSubs(N, Out);
+    Out += Head;
+    subs(N);
     Out += ')';
-    return;
   }
-  case NodeKind::Let:
-  case NodeKind::Letrec: {
-    Out += N.Kind == NodeKind::Let ? "(let (" : "(letrec (";
-    for (size_t I = 0; I != N.BindingNames.size(); ++I) {
-      if (I != 0)
-        Out += ' ';
-      Out += '[';
-      Out += N.BindingNames[I];
-      Out += ' ';
-      printNode(*N.Subs[I], Out);
-      Out += ']';
-    }
-    Out += ") ";
-    printNode(*N.Subs.back(), Out);
-    Out += ')';
-    return;
-  }
-  case NodeKind::Begin:
-    printHead("begin", N, Out);
-    return;
-  case NodeKind::Repeat: {
-    Out += "(repeat (";
-    Out += N.Name;
-    Out += ' ';
-    printNode(*N.Subs[0], Out);
-    Out += ' ';
-    printNode(*N.Subs[1], Out);
-    Out += ')';
-    if (N.HasAcc) {
-      Out += " (";
-      Out += N.AccName;
-      Out += ' ';
-      printNode(*N.Subs[2], Out);
+
+  void binder(uint32_t Id) { Out += Names.Binders[Id]; }
+
+  void node(const Node &N) {
+    switch (N.Kind) {
+    case NodeKind::LitUnit:
+      Out += "()";
+      return;
+    case NodeKind::LitBool:
+      Out += N.BoolVal ? "#t" : "#f";
+      return;
+    case NodeKind::LitInt:
+      Out += std::to_string(N.IntVal);
+      return;
+    case NodeKind::LitFloat:
+      Out += formatDouble(N.FloatVal);
+      return;
+    case NodeKind::LitChar:
+      Out += "#\\";
+      Out += N.CharVal;
+      return;
+    case NodeKind::LocalRef:
+      binder(N.Id);
+      return;
+    case NodeKind::GlobalRef:
+      Out += Names.Globals[N.Id];
+      return;
+    case NodeKind::If:
+      head("if", N);
+      return;
+    case NodeKind::Lambda: {
+      Out += "(lambda (";
+      for (size_t I = 0; I != N.Ty->arity(); ++I) {
+        if (I != 0)
+          Out += ' ';
+        binder(N.Id + I);
+        Out += " : ";
+        Out += N.Ty->param(I)->str();
+      }
+      Out += ") ";
+      node(*N.Subs[0]);
       Out += ')';
+      return;
     }
-    Out += ' ';
-    printNode(*N.Subs[N.HasAcc ? 3 : 2], Out);
-    Out += ')';
-    return;
+    case NodeKind::App:
+      head("app", N);
+      return;
+    case NodeKind::AppDyn:
+      head("app-dyn", N);
+      return;
+    case NodeKind::PrimApp:
+      Out += '(';
+      Out += primName(N.Prim);
+      subs(N);
+      Out += ')';
+      return;
+    case NodeKind::Let:
+    case NodeKind::Letrec: {
+      Out += N.Kind == NodeKind::Let ? "(let (" : "(letrec (";
+      for (size_t I = 0; I + 1 != N.Subs.size(); ++I) {
+        if (I != 0)
+          Out += ' ';
+        Out += '[';
+        binder(N.Id + I);
+        Out += ' ';
+        node(*N.Subs[I]);
+        Out += ']';
+      }
+      Out += ") ";
+      node(*N.Subs.back());
+      Out += ')';
+      return;
+    }
+    case NodeKind::Begin:
+      head("begin", N);
+      return;
+    case NodeKind::Repeat: {
+      Out += "(repeat (";
+      binder(N.Id);
+      Out += ' ';
+      node(*N.Subs[0]);
+      Out += ' ';
+      node(*N.Subs[1]);
+      Out += ')';
+      if (N.HasAcc) {
+        Out += " (";
+        binder(N.Id + 1);
+        Out += ' ';
+        node(*N.Subs[2]);
+        Out += ')';
+      }
+      Out += ' ';
+      node(*N.Subs[N.HasAcc ? 3 : 2]);
+      Out += ')';
+      return;
+    }
+    case NodeKind::Time:
+      head("time", N);
+      return;
+    case NodeKind::Tuple:
+      head("tuple", N);
+      return;
+    case NodeKind::TupleProj:
+    case NodeKind::TupleProjDyn:
+      Out += N.Kind == NodeKind::TupleProj ? "(tuple-proj " : "(tuple-proj-dyn ";
+      node(*N.Subs[0]);
+      Out += ' ';
+      Out += std::to_string(N.Index);
+      Out += ')';
+      return;
+    case NodeKind::BoxAlloc:
+      head("box", N);
+      return;
+    case NodeKind::Unbox:
+      head("unbox", N);
+      return;
+    case NodeKind::UnboxDyn:
+      head("unbox-dyn", N);
+      return;
+    case NodeKind::BoxSet:
+      head("box-set!", N);
+      return;
+    case NodeKind::BoxSetDyn:
+      head("box-set-dyn!", N);
+      return;
+    case NodeKind::MakeVect:
+      head("make-vector", N);
+      return;
+    case NodeKind::VectRef:
+      head("vector-ref", N);
+      return;
+    case NodeKind::VectRefDyn:
+      head("vector-ref-dyn", N);
+      return;
+    case NodeKind::VectSet:
+      head("vector-set!", N);
+      return;
+    case NodeKind::VectSetDyn:
+      head("vector-set-dyn!", N);
+      return;
+    case NodeKind::VectLen:
+      head("vector-length", N);
+      return;
+    case NodeKind::VectLenDyn:
+      head("vector-length-dyn", N);
+      return;
+    case NodeKind::Cast:
+      Out += "(cast ";
+      node(*N.Subs[0]);
+      Out += ' ';
+      Out += N.SrcTy->str();
+      Out += ' ';
+      Out += N.Ty->str();
+      Out += " \"";
+      Out += N.blameLabel();
+      Out += "\")";
+      return;
+    }
   }
-  case NodeKind::Time:
-    printHead("time", N, Out);
-    return;
-  case NodeKind::Tuple:
-    printHead("tuple", N, Out);
-    return;
-  case NodeKind::TupleProj:
-  case NodeKind::TupleProjDyn: {
-    Out += N.Kind == NodeKind::TupleProj ? "(tuple-proj " : "(tuple-proj-dyn ";
-    printNode(*N.Subs[0], Out);
-    Out += ' ';
-    Out += std::to_string(N.Index);
-    Out += ')';
-    return;
-  }
-  case NodeKind::BoxAlloc:
-    printHead("box", N, Out);
-    return;
-  case NodeKind::Unbox:
-    printHead("unbox", N, Out);
-    return;
-  case NodeKind::UnboxDyn:
-    printHead("unbox-dyn", N, Out);
-    return;
-  case NodeKind::BoxSet:
-    printHead("box-set!", N, Out);
-    return;
-  case NodeKind::BoxSetDyn:
-    printHead("box-set-dyn!", N, Out);
-    return;
-  case NodeKind::MakeVect:
-    printHead("make-vector", N, Out);
-    return;
-  case NodeKind::VectRef:
-    printHead("vector-ref", N, Out);
-    return;
-  case NodeKind::VectRefDyn:
-    printHead("vector-ref-dyn", N, Out);
-    return;
-  case NodeKind::VectSet:
-    printHead("vector-set!", N, Out);
-    return;
-  case NodeKind::VectSetDyn:
-    printHead("vector-set-dyn!", N, Out);
-    return;
-  case NodeKind::VectLen:
-    printHead("vector-length", N, Out);
-    return;
-  case NodeKind::VectLenDyn:
-    printHead("vector-length-dyn", N, Out);
-    return;
-  case NodeKind::Cast: {
-    Out += "(cast ";
-    printNode(*N.Subs[0], Out);
-    Out += ' ';
-    Out += N.SrcTy->str();
-    Out += ' ';
-    Out += N.Ty->str();
-    Out += " \"";
-    Out += N.BlameLabel;
-    Out += "\")";
-    return;
-  }
-  }
-}
+};
 
 unsigned countCastsIn(const Node &N) {
   unsigned Count = N.Kind == NodeKind::Cast ? 1 : 0;
@@ -192,25 +196,20 @@ unsigned countCastsIn(const Node &N) {
 
 } // namespace
 
-std::string Node::str() const {
-  std::string Out;
-  printNode(*this, Out);
-  return Out;
-}
-
 std::string CoreProgram::str() const {
   std::string Out;
+  Printer P{Names, Out};
   for (const Def &D : Defs) {
-    if (!D.Name.empty()) {
+    if (D.Global >= 0) {
       Out += "(define ";
-      Out += D.Name;
+      Out += Names.Globals[D.Global];
       Out += " : ";
       Out += D.Ty->str();
       Out += ' ';
-      Out += D.Body->str();
+      P.node(*D.Body);
       Out += ")\n";
     } else {
-      Out += D.Body->str();
+      P.node(*D.Body);
       Out += '\n';
     }
   }

@@ -7,6 +7,11 @@
 /// a blame label; how a cast is executed (coercions vs. type-based) is
 /// decided later by the VM compiler.
 ///
+/// The checker resolves every variable: a LocalRef carries the id of its
+/// binder and a GlobalRef the index of its global, so codegen turns
+/// variables into slots by indexing arrays. The names themselves live in
+/// the program's NameTable.
+///
 /// The *Dyn node kinds implement the paper's Section 3 optimization: an
 /// elimination form applied to a Dyn value is specialized so that "code
 /// that does what a proxy would do" runs without allocating a proxy.
@@ -35,17 +40,18 @@ enum class NodeKind : uint8_t {
   LitInt,
   LitFloat,
   LitChar,
-  LocalRef,     ///< Name resolves lexically
-  GlobalRef,    ///< Name resolves in the program's global table
+  LocalRef,     ///< Id = binder id
+  GlobalRef,    ///< Id = global index
   If,           ///< Sub = [cond, then, else]
-  Lambda,       ///< ParamNames/Ty (function type); Sub = [body]
+  Lambda,       ///< Id = first param binder; Ty (function type); Sub = [body]
   App,          ///< callee statically a function; Sub = [callee, args...]
   AppDyn,       ///< callee statically Dyn; Sub = [callee, args...]
   PrimApp,      ///< Prim; Sub = args
-  Let,          ///< BindingNames; Sub = [inits..., body]
-  Letrec,       ///< BindingNames; Sub = [lambda inits..., body]
+  Let,          ///< Id = first binder; Sub = [inits..., body]
+  Letrec,       ///< Id = first binder; Sub = [lambda inits..., body]
   Begin,        ///< Sub = exprs
-  Repeat,       ///< Name, AccName/HasAcc; Sub = [lo, hi, (accInit)?, body]
+  Repeat,       ///< Id = index binder (then acc); HasAcc;
+                ///< Sub = [lo, hi, (accInit)?, body]
   Time,         ///< Sub = [body]
   Tuple,        ///< Sub = elements
   TupleProj,    ///< Index; Sub = [tuple]
@@ -62,7 +68,7 @@ enum class NodeKind : uint8_t {
   VectSetDyn,   ///< Sub = [dyn, index, value]
   VectLen,      ///< Sub = [vect]
   VectLenDyn,   ///< Sub = [dyn]
-  Cast,         ///< SrcTy => Ty with BlameLabel; Sub = [body]
+  Cast,         ///< SrcTy => Ty, blamed at Loc; Sub = [body]
 };
 
 /// One core IR node. Plain data; built only by the type checker.
@@ -77,26 +83,33 @@ struct Node {
   bool BoolVal = false;
   char CharVal = 0;
 
-  std::string Name;                      // LocalRef/GlobalRef/Repeat index
-  grift::PrimOp Prim{};                  // PrimApp
-  uint32_t Index = 0;                    // TupleProj*
-  bool HasAcc = false;                   // Repeat
-  std::string AccName;                   // Repeat
-  std::vector<std::string> ParamNames;   // Lambda
-  std::vector<std::string> BindingNames; // Let/Letrec
-
+  /// LocalRef: its binder's id. GlobalRef: its global index. Lambda,
+  /// Let, Letrec and Repeat: the id of the first binder they introduce;
+  /// the others follow it in order (params, bindings, or the index and
+  /// then the accumulator).
+  uint32_t Id = 0;
+  grift::PrimOp Prim{};        // PrimApp
+  uint32_t Index = 0;          // TupleProj*
+  bool HasAcc = false;         // Repeat
   const Type *SrcTy = nullptr; // Cast source
-  std::string BlameLabel;      // Cast blame label
 
   std::vector<NodePtr> Subs;
 
-  /// Renders a debug S-expression of the core IR (with explicit casts).
-  std::string str() const;
+  /// The blame label of a Cast or *Dyn node: its source location "L:C".
+  std::string blameLabel() const { return Loc.str(); }
+};
+
+/// The names of a program's binders and globals, kept beside the IR:
+/// --dump-core, the VM's global table and the reference interpreter read
+/// them, codegen never does.
+struct NameTable {
+  std::vector<std::string> Binders; ///< by binder id
+  std::vector<std::string> Globals; ///< by global index
 };
 
 /// A checked top-level definition.
 struct Def {
-  std::string Name; // empty for expression statements
+  int32_t Global = -1; ///< global index; -1 for an expression statement
   const Type *Ty = nullptr;
   NodePtr Body;
 };
@@ -104,6 +117,9 @@ struct Def {
 /// A checked program.
 struct CoreProgram {
   std::vector<Def> Defs;
+  NameTable Names;
+
+  /// Renders a debug S-expression of the core IR (with explicit casts).
   std::string str() const;
 };
 

@@ -22,7 +22,6 @@ public:
     CoreProgram Out;
     for (const Define &D : Prog.Defines) {
       Def CoreDef;
-      CoreDef.Name = D.Name;
       if (D.Name.empty()) {
         CoreDef.Body = check(*D.Body);
         if (!CoreDef.Body)
@@ -31,8 +30,8 @@ public:
         Out.Defs.push_back(std::move(CoreDef));
         continue;
       }
-      auto It = Globals.find(D.Name);
-      const Type *Declared = It != Globals.end() ? It->second : nullptr;
+      Global &G = Globals.find(D.Name)->second;
+      const Type *Declared = G.Ty;
       // A function define without a separate annotation commits to its
       // declared type so recursive calls and the body agree without an
       // extra wrapper cast; an explicitly annotated define keeps the cast
@@ -50,23 +49,38 @@ public:
           return std::nullopt;
       } else {
         Declared = Body->Ty;
-        Globals[D.Name] = Declared;
+        G.Ty = Declared;
       }
+      CoreDef.Global = G.Index;
       CoreDef.Ty = Declared;
       CoreDef.Body = std::move(Body);
       Out.Defs.push_back(std::move(CoreDef));
     }
     if (Diags.hasErrors())
       return std::nullopt;
+    Out.Names = std::move(Names);
     return Out;
   }
 
 private:
   TypeContext &Ctx;
   DiagnosticEngine &Diags;
-  std::unordered_map<std::string, const Type *> Globals;
-  /// Local bindings, innermost last; the views name AST strings.
-  std::vector<std::pair<std::string_view, const Type *>> Locals;
+  /// A top-level define: its declared type (null until a value define
+  /// without annotation is reached) and its global index.
+  struct Global {
+    const Type *Ty = nullptr;
+    int32_t Index = 0;
+  };
+  std::unordered_map<std::string, Global> Globals;
+  /// A local binding; the view names an AST string.
+  struct Local {
+    std::string_view Name;
+    const Type *Ty;
+    uint32_t Id;
+  };
+  /// Local bindings, innermost last.
+  std::vector<Local> Locals;
+  NameTable Names;
 
   //===--------------------------------------------------------------------===//
   // Environment
@@ -81,38 +95,41 @@ private:
     ~ScopeGuard() { Checker.Locals.resize(Mark); }
   };
 
-  void bind(std::string_view Name, const Type *T) {
-    Locals.emplace_back(Name, T);
+  /// Binds \p Name to a fresh binder id and returns the id. The binders
+  /// of one form get consecutive ids.
+  uint32_t bind(const std::string &Name, const Type *T) {
+    auto Id = static_cast<uint32_t>(Names.Binders.size());
+    Names.Binders.push_back(Name);
+    Locals.push_back({Name, T, Id});
+    return Id;
   }
 
-  const Type *lookupLocal(std::string_view Name) const {
+  const Local *lookupLocal(std::string_view Name) const {
     for (size_t I = Locals.size(); I-- > 0;)
-      if (Locals[I].first == Name)
-        return Locals[I].second;
+      if (Locals[I].Name == Name)
+        return &Locals[I];
     return nullptr;
   }
 
   /// Declares every annotated or function-shaped define before checking
   /// bodies, enabling (mutual) recursion at the top level.
   void declareGlobals(const Program &Prog) {
-    std::unordered_map<std::string, bool> Seen;
     for (const Define &D : Prog.Defines) {
       if (D.Name.empty())
         continue;
-      if (!Seen.emplace(D.Name, true).second) {
+      auto [It, Fresh] = Globals.try_emplace(
+          D.Name, Global{nullptr, static_cast<int32_t>(Names.Globals.size())});
+      if (!Fresh) {
         Diags.error(D.Loc, "duplicate definition of '" + D.Name + "'");
         continue;
       }
-      if (D.Annot) {
-        Globals[D.Name] = D.Annot;
-        continue;
-      }
-      if (D.Body->Kind == ExprKind::Lambda) {
-        Globals[D.Name] = lambdaDeclaredType(*D.Body);
-        continue;
-      }
-      // Value define without annotation: synthesized at its program point;
-      // forward references are "undefined variable" errors.
+      Names.Globals.push_back(D.Name);
+      if (D.Annot)
+        It->second.Ty = D.Annot;
+      else if (D.Body->Kind == ExprKind::Lambda)
+        It->second.Ty = lambdaDeclaredType(*D.Body);
+      // A value define without annotation is synthesized at its program
+      // point; forward references are "undefined variable" errors.
     }
   }
 
@@ -138,8 +155,6 @@ private:
     return N;
   }
 
-  std::string blameLabel(SourceLoc Loc) { return Loc.str(); }
-
   /// Inserts a cast from \p N's type to \p Target when needed. Reports a
   /// static error when the types are inconsistent.
   NodePtr coerceTo(NodePtr N, const Type *Target, SourceLoc Loc) {
@@ -153,7 +168,6 @@ private:
     }
     NodePtr CastNode = make(NodeKind::Cast, Target, Loc);
     CastNode->SrcTy = N->Ty;
-    CastNode->BlameLabel = blameLabel(Loc);
     CastNode->Subs.push_back(std::move(N));
     return CastNode;
   }
@@ -252,15 +266,15 @@ private:
   }
 
   NodePtr checkVar(const Expr &E) {
-    if (const Type *T = lookupLocal(E.Name)) {
-      NodePtr N = make(NodeKind::LocalRef, T, E.Loc);
-      N->Name = E.Name;
+    if (const Local *L = lookupLocal(E.Name)) {
+      NodePtr N = make(NodeKind::LocalRef, L->Ty, E.Loc);
+      N->Id = L->Id;
       return N;
     }
     auto It = Globals.find(E.Name);
-    if (It != Globals.end()) {
-      NodePtr N = make(NodeKind::GlobalRef, It->second, E.Loc);
-      N->Name = E.Name;
+    if (It != Globals.end() && It->second.Ty) {
+      NodePtr N = make(NodeKind::GlobalRef, It->second.Ty, E.Loc);
+      N->Id = static_cast<uint32_t>(It->second.Index);
       return N;
     }
     return error(E.Loc, "undefined variable '" + E.Name + "'");
@@ -301,11 +315,9 @@ private:
       ParamTypes.push_back(P.Annot ? P.Annot : Ctx.dyn());
 
     ScopeGuard Guard(*this);
-    std::vector<std::string> Names;
-    for (size_t I = 0; I != E.Params.size(); ++I) {
+    auto FirstParam = static_cast<uint32_t>(Names.Binders.size());
+    for (size_t I = 0; I != E.Params.size(); ++I)
       bind(E.Params[I].Name, ParamTypes[I]);
-      Names.push_back(E.Params[I].Name);
-    }
     NodePtr Body = check(*E.SubExprs[0]);
     if (!Body)
       return nullptr;
@@ -321,7 +333,7 @@ private:
       return nullptr;
     const Type *FnTy = Ctx.function(std::move(ParamTypes), Ret);
     NodePtr N = make(NodeKind::Lambda, FnTy, E.Loc);
-    N->ParamNames = std::move(Names);
+    N->Id = FirstParam;
     N->Subs.push_back(std::move(Body));
     return N;
   }
@@ -336,7 +348,6 @@ private:
       // The Section 3 optimization: apply a Dyn value directly, checking
       // and converting at the call site without allocating a proxy.
       NodePtr N = make(NodeKind::AppDyn, Ctx.dyn(), E.Loc);
-      N->BlameLabel = blameLabel(E.Loc);
       N->Subs.push_back(std::move(Callee));
       for (size_t I = 1; I != E.SubExprs.size(); ++I) {
         NodePtr Arg = check(*E.SubExprs[I]);
@@ -405,9 +416,9 @@ private:
     }
     ScopeGuard Guard(*this);
     NodePtr N = make(NodeKind::Let, nullptr, E.Loc);
+    N->Id = static_cast<uint32_t>(Names.Binders.size());
     for (size_t I = 0; I != E.Bindings.size(); ++I) {
       bind(E.Bindings[I].Name, Types[I]);
-      N->BindingNames.push_back(E.Bindings[I].Name);
       N->Subs.push_back(std::move(Inits[I]));
     }
     NodePtr Body = check(*E.SubExprs[0]);
@@ -420,6 +431,7 @@ private:
 
   NodePtr checkLetrec(const Expr &E) {
     ScopeGuard Guard(*this);
+    auto FirstBinder = static_cast<uint32_t>(Names.Binders.size());
     std::vector<const Type *> Types;
     for (const Binding &B : E.Bindings) {
       if (B.Init->Kind != ExprKind::Lambda) {
@@ -437,6 +449,7 @@ private:
       bind(B.Name, Declared);
     }
     NodePtr N = make(NodeKind::Letrec, nullptr, E.Loc);
+    N->Id = FirstBinder;
     for (size_t I = 0; I != E.Bindings.size(); ++I) {
       const Binding &B = E.Bindings[I];
       NodePtr Init =
@@ -446,7 +459,6 @@ private:
       Init = coerceTo(std::move(Init), Types[I], B.Loc);
       if (!Init)
         return nullptr;
-      N->BindingNames.push_back(B.Name);
       N->Subs.push_back(std::move(Init));
     }
     NodePtr Body = check(*E.SubExprs[0]);
@@ -480,9 +492,7 @@ private:
       return nullptr;
 
     NodePtr N = make(NodeKind::Repeat, nullptr, E.Loc);
-    N->Name = E.Name;
     N->HasAcc = E.HasAcc;
-    N->AccName = E.AccName;
     N->Subs.push_back(std::move(Lo));
     N->Subs.push_back(std::move(Hi));
 
@@ -501,7 +511,7 @@ private:
     }
 
     ScopeGuard Guard(*this);
-    bind(E.Name, Ctx.integer());
+    N->Id = bind(E.Name, Ctx.integer());
     if (E.HasAcc)
       bind(E.AccName, AccTy);
     NodePtr Body = check(*E.SubExprs[BodyIndex]);
@@ -538,7 +548,6 @@ private:
     if (Target->Ty->isDyn()) {
       NodePtr N = make(NodeKind::TupleProjDyn, Ctx.dyn(), E.Loc);
       N->Index = E.Index;
-      N->BlameLabel = blameLabel(E.Loc);
       N->Subs.push_back(std::move(Target));
       return N;
     }
@@ -582,7 +591,6 @@ private:
       return nullptr;
     if (Target->Ty->isDyn()) {
       NodePtr N = make(NodeKind::UnboxDyn, Ctx.dyn(), E.Loc);
-      N->BlameLabel = blameLabel(E.Loc);
       N->Subs.push_back(std::move(Target));
       return N;
     }
@@ -603,7 +611,6 @@ private:
       if (!Value)
         return nullptr;
       NodePtr N = make(NodeKind::BoxSetDyn, Ctx.unit(), E.Loc);
-      N->BlameLabel = blameLabel(E.Loc);
       N->Subs.push_back(std::move(Target));
       N->Subs.push_back(std::move(Value));
       return N;
@@ -644,7 +651,6 @@ private:
       return nullptr;
     if (Target->Ty->isDyn()) {
       NodePtr N = make(NodeKind::VectRefDyn, Ctx.dyn(), E.Loc);
-      N->BlameLabel = blameLabel(E.Loc);
       N->Subs.push_back(std::move(Target));
       N->Subs.push_back(std::move(Index));
       return N;
@@ -672,7 +678,6 @@ private:
       if (!Value)
         return nullptr;
       NodePtr N = make(NodeKind::VectSetDyn, Ctx.unit(), E.Loc);
-      N->BlameLabel = blameLabel(E.Loc);
       N->Subs.push_back(std::move(Target));
       N->Subs.push_back(std::move(Index));
       N->Subs.push_back(std::move(Value));
@@ -698,7 +703,6 @@ private:
       return nullptr;
     if (Target->Ty->isDyn()) {
       NodePtr N = make(NodeKind::VectLenDyn, Ctx.integer(), E.Loc);
-      N->BlameLabel = blameLabel(E.Loc);
       N->Subs.push_back(std::move(Target));
       return N;
     }

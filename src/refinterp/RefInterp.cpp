@@ -121,13 +121,14 @@ public:
         StartTime(std::chrono::steady_clock::now()) {}
 
   RefResult run(const CoreProgram &Prog) {
+    Names = &Prog.Names;
     RefResult Result;
     try {
       RVal Last = mkUnit();
       for (const Def &D : Prog.Defs) {
         RVal V = eval(*D.Body, nullptr);
-        if (!D.Name.empty())
-          Globals[D.Name] = V;
+        if (D.Global >= 0)
+          Globals[Names->Globals[D.Global]] = V;
         Last = V;
       }
       Result.OK = true;
@@ -152,6 +153,9 @@ private:
   std::string Input;
   size_t InputPos = 0;
   std::string Output;
+  /// Variables resolve by name, not by the checker's binder ids, so a
+  /// wrong id shows up as a VM-versus-reference difference.
+  const NameTable *Names = nullptr;
   std::unordered_map<std::string, RVal> Globals;
   std::vector<std::vector<RVal>> Store; // μ: addresses to cells
   std::vector<bool> IsBoxCell;          // rendering: box vs vector
@@ -236,6 +240,8 @@ private:
   //===--------------------------------------------------------------------===//
   // Lookup
   //===--------------------------------------------------------------------===//
+
+  const std::string &binder(uint32_t Id) const { return Names->Binders[Id]; }
 
   RVal lookup(const Env &E, const std::string &Name) {
     for (const EnvNode *N = E.get(); N; N = N->Parent.get())
@@ -407,11 +413,11 @@ private:
     if (Callee->K != RV::Kind::Closure)
       trap("application of a non-function at " + Where);
     const Node &Lambda = *Callee->Lambda;
-    if (Lambda.ParamNames.size() != Args.size())
+    if (Lambda.Ty->arity() != Args.size())
       trap("arity mismatch at " + Where);
     Env E = Callee->Captured;
     for (size_t I = 0; I != Args.size(); ++I)
-      E = extend(E, Lambda.ParamNames[I], std::move(Args[I]));
+      E = extend(E, binder(Lambda.Id + I), std::move(Args[I]));
     DepthGuard Depth(*this);
     return eval(*Lambda.Subs[0], E);
   }
@@ -435,11 +441,12 @@ private:
     case NodeKind::LitChar:
       return mkChar(N.CharVal);
     case NodeKind::LocalRef:
-      return lookup(E, N.Name);
+      return lookup(E, binder(N.Id));
     case NodeKind::GlobalRef: {
-      auto It = Globals.find(N.Name);
+      const std::string &Name = Names->Globals[N.Id];
+      auto It = Globals.find(Name);
       if (It == Globals.end())
-        trap("global '" + N.Name + "' used before its definition");
+        trap("global '" + Name + "' used before its definition");
       return It->second;
     }
     case NodeKind::If: {
@@ -469,32 +476,32 @@ private:
       if (FT->isRec())
         FT = Types.unfold(FT);
       if (!FT->isFunction())
-        blame(N.BlameLabel,
+        blame(N.blameLabel(),
               "application of a value of type " + FT->str());
       if (FT->arity() != Args.size())
-        blame(N.BlameLabel, "arity mismatch");
+        blame(N.blameLabel(), "arity mismatch");
       for (size_t I = 0; I != Args.size(); ++I)
-        Args[I] = castTo(Args[I], Types.dyn(), FT->param(I), N.BlameLabel);
+        Args[I] = castTo(Args[I], Types.dyn(), FT->param(I), N.blameLabel());
       RVal Result =
           apply(dynUnwrap(Callee), std::move(Args), N.Loc.str());
-      return castTo(Result, FT->result(), Types.dyn(), N.BlameLabel);
+      return castTo(Result, FT->result(), Types.dyn(), N.blameLabel());
     }
     case NodeKind::PrimApp:
       return evalPrim(N, E);
     case NodeKind::Let: {
       Env E2 = E;
-      for (size_t I = 0; I != N.BindingNames.size(); ++I)
-        E2 = extend(E2, N.BindingNames[I], eval(*N.Subs[I], E));
+      for (size_t I = 0; I + 1 != N.Subs.size(); ++I)
+        E2 = extend(E2, binder(N.Id + I), eval(*N.Subs[I], E));
       return eval(*N.Subs.back(), E2);
     }
     case NodeKind::Letrec: {
       Env E2 = E;
       std::vector<EnvNode *> Cells;
-      for (const std::string &Name : N.BindingNames) {
-        E2 = extend(E2, Name, mkUnit());
+      for (size_t I = 0; I + 1 != N.Subs.size(); ++I) {
+        E2 = extend(E2, binder(N.Id + I), mkUnit());
         Cells.push_back(E2.get());
       }
-      for (size_t I = 0; I != N.BindingNames.size(); ++I)
+      for (size_t I = 0; I != Cells.size(); ++I)
         Cells[I]->Value = eval(*N.Subs[I], E2);
       return eval(*N.Subs.back(), E2);
     }
@@ -514,9 +521,9 @@ private:
         BodyIndex = 3;
       }
       for (int64_t I = Lo->I; I < Hi->I; ++I) {
-        Env E2 = extend(E, N.Name, mkInt(I));
+        Env E2 = extend(E, binder(N.Id), mkInt(I));
         if (N.HasAcc)
-          E2 = extend(E2, N.AccName, Acc);
+          E2 = extend(E2, binder(N.Id + 1), Acc);
         RVal Body = eval(*N.Subs[BodyIndex], E2);
         if (N.HasAcc)
           Acc = Body;
@@ -542,11 +549,11 @@ private:
       if (T->isRec())
         T = Types.unfold(T);
       if (!T->isTuple() || N.Index >= T->tupleSize())
-        blame(N.BlameLabel,
+        blame(N.blameLabel(),
               "tuple projection from a value of type " + T->str());
       RVal Tup = dynUnwrap(V);
       return castTo(Tup->Elements[N.Index], T->element(N.Index),
-                    Types.dyn(), N.BlameLabel);
+                    Types.dyn(), N.blameLabel());
     }
     case NodeKind::BoxAlloc: {
       RVal Init = eval(*N.Subs[0], E);
@@ -564,9 +571,9 @@ private:
       if (T->isRec())
         T = Types.unfold(T);
       if (!T->isBox())
-        blame(N.BlameLabel, "unbox of a value of type " + T->str());
+        blame(N.blameLabel(), "unbox of a value of type " + T->str());
       RVal Content = storeRead(dynUnwrap(V), 0);
-      return castTo(Content, T->inner(), Types.dyn(), N.BlameLabel);
+      return castTo(Content, T->inner(), Types.dyn(), N.blameLabel());
     }
     case NodeKind::BoxSet: {
       RVal Ref = eval(*N.Subs[0], E);
@@ -581,9 +588,9 @@ private:
       if (T->isRec())
         T = Types.unfold(T);
       if (!T->isBox())
-        blame(N.BlameLabel, "box-set! of a value of type " + T->str());
+        blame(N.blameLabel(), "box-set! of a value of type " + T->str());
       storeWrite(dynUnwrap(D), 0,
-                 castTo(V, Types.dyn(), T->inner(), N.BlameLabel));
+                 castTo(V, Types.dyn(), T->inner(), N.blameLabel()));
       return mkUnit();
     }
     case NodeKind::MakeVect: {
@@ -609,9 +616,9 @@ private:
       if (T->isRec())
         T = Types.unfold(T);
       if (!T->isVect())
-        blame(N.BlameLabel, "vector-ref of a value of type " + T->str());
+        blame(N.blameLabel(), "vector-ref of a value of type " + T->str());
       RVal V = storeRead(dynUnwrap(D), Index->I);
-      return castTo(V, T->inner(), Types.dyn(), N.BlameLabel);
+      return castTo(V, T->inner(), Types.dyn(), N.blameLabel());
     }
     case NodeKind::VectSet: {
       RVal Ref = eval(*N.Subs[0], E);
@@ -628,9 +635,9 @@ private:
       if (T->isRec())
         T = Types.unfold(T);
       if (!T->isVect())
-        blame(N.BlameLabel, "vector-set! of a value of type " + T->str());
+        blame(N.blameLabel(), "vector-set! of a value of type " + T->str());
       storeWrite(dynUnwrap(D), Index->I,
-                 castTo(V, Types.dyn(), T->inner(), N.BlameLabel));
+                 castTo(V, Types.dyn(), T->inner(), N.blameLabel()));
       return mkUnit();
     }
     case NodeKind::VectLen:
@@ -641,13 +648,13 @@ private:
       if (T->isRec())
         T = Types.unfold(T);
       if (!T->isVect())
-        blame(N.BlameLabel,
+        blame(N.blameLabel(),
               "vector-length of a value of type " + T->str());
       return mkInt(static_cast<int64_t>(storeLength(dynUnwrap(D))));
     }
     case NodeKind::Cast: {
       RVal V = eval(*N.Subs[0], E);
-      return castTo(V, N.SrcTy, N.Ty, N.BlameLabel);
+      return castTo(V, N.SrcTy, N.Ty, N.blameLabel());
     }
     }
     trap("unhandled node kind in reference interpreter");

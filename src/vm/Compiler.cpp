@@ -108,14 +108,14 @@ void fuseFunction(VMFunction &Fn) {
   }
 }
 
-/// Per-function compilation state. Tracks lexical scopes, local slot
-/// allocation (watermark), and the free variables this function captures
-/// from its parent.
+/// Per-function compilation state: local slot allocation (watermark) and
+/// the binders this function captures from its parents, in first-use
+/// order.
 struct FnCtx {
   FnCtx *Parent = nullptr;
   VMFunction *Fn = nullptr;
-  std::vector<std::unordered_map<std::string, int>> Scopes;
-  std::vector<std::string> FreeNames;
+  int32_t Index = 0; ///< function index
+  std::vector<uint32_t> Captured;
   int NextLocal = 0;
   int MaxLocal = 0;
 
@@ -125,42 +125,22 @@ struct FnCtx {
     return Slot;
   }
 
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope(int SavedNext) {
-    Scopes.pop_back();
-    NextLocal = SavedNext;
-  }
-
-  void bind(const std::string &Name, int Slot) {
-    Scopes.back()[Name] = Slot;
-  }
-
-  /// Finds \p Name in this function's scopes; -1 when not local.
-  int findLocal(const std::string &Name) const {
-    for (size_t I = Scopes.size(); I-- > 0;) {
-      auto It = Scopes[I].find(Name);
-      if (It != Scopes[I].end())
-        return It->second;
-    }
-    return -1;
-  }
-
-  /// Index of \p Name in the capture list, adding it if needed.
-  int freeIndex(const std::string &Name) {
-    for (size_t I = 0; I != FreeNames.size(); ++I)
-      if (FreeNames[I] == Name)
+  /// Index of \p Binder in the capture list, adding it if needed.
+  int captureIndex(uint32_t Binder) {
+    for (size_t I = 0; I != Captured.size(); ++I)
+      if (Captured[I] == Binder)
         return static_cast<int>(I);
-    FreeNames.push_back(Name);
-    return static_cast<int>(FreeNames.size() - 1);
+    Captured.push_back(Binder);
+    return static_cast<int>(Captured.size() - 1);
   }
 };
 
 class Compiler {
 public:
-  Compiler(const CoreProgram &Core, TypeContext &Types,
-           CoercionFactory &Coercions, CastMode Mode, bool Fuse)
-      : Core(Core), Types(Types), Coercions(Coercions), Mode(Mode),
-        Fuse(Fuse) {
+  Compiler(const CoreProgram &Core, CoercionFactory &Coercions,
+           CastMode Mode, bool Fuse)
+      : Core(Core), Coercions(Coercions), Mode(Mode), Fuse(Fuse),
+        Homes(Core.Names.Binders.size()) {
     Prog.Mode = Mode;
   }
 
@@ -175,20 +155,12 @@ public:
         return std::nullopt;
       }
     }
-    // Globals first so references resolve in any order.
-    for (const Def &D : Core.Defs) {
-      if (D.Name.empty())
-        continue;
-      int Index = static_cast<int>(Prog.GlobalNames.size());
-      GlobalIndex.emplace(D.Name, Index);
-      Prog.GlobalNames.push_back(D.Name);
-    }
+    Prog.GlobalNames = Core.Names.Globals;
 
     Prog.Functions.emplace_back(); // main = function 0
     FnCtx Main;
     Main.Fn = &Prog.Functions[0];
     Main.Fn->Name = "<main>";
-    Main.pushScope();
     CurrentFn = &Main;
 
     bool PushedResult = false;
@@ -196,8 +168,8 @@ public:
       const Def &D = Core.Defs[I];
       bool Last = I + 1 == Core.Defs.size();
       compile(*D.Body, /*Tail=*/false);
-      if (!D.Name.empty()) {
-        emit(Op::GlobalSet, GlobalIndex.at(D.Name));
+      if (D.Global >= 0) {
+        emit(Op::GlobalSet, D.Global);
         if (Last) {
           emit(Op::PushUnit);
           PushedResult = true;
@@ -225,13 +197,28 @@ public:
   }
 
 private:
+  /// Where a binder lives: the function that binds it and its slot there.
+  struct Home {
+    int32_t Fn = -1;
+    int32_t Slot = 0;
+  };
+  /// The interned blame label of a source location, its Dyn-site index
+  /// (-1 until a Dyn operation there needs one), and the last cast-table
+  /// entry blamed there (-1 for none; earlier ones chain via NextCast).
+  struct Site {
+    const std::string *Label = nullptr;
+    int32_t Index = -1;
+    int32_t LastCast = -1;
+  };
+
   const CoreProgram &Core;
-  TypeContext &Types;
   CoercionFactory &Coercions;
   CastMode Mode;
   bool Fuse;
   VMProgram Prog;
-  std::unordered_map<std::string, int> GlobalIndex;
+  std::vector<Home> Homes; ///< by binder id
+  std::unordered_map<uint64_t, Site> Sites; ///< by packed source location
+  std::vector<int32_t> NextCast; ///< by cast index: the previous at its site
   FnCtx *CurrentFn = nullptr;
   std::string CompileError;
 
@@ -260,38 +247,40 @@ private:
       CompileError = Message;
   }
 
-  int castIndex(const Type *Src, const Type *Tgt,
-                const std::string &Label) {
-    CastDescriptor Desc;
-    Desc.Src = Src;
-    Desc.Tgt = Tgt;
+  /// The blame label of the node at \p Loc ("L:C"), interned once per
+  /// location and compile.
+  Site &site(SourceLoc Loc) {
+    uint64_t Key =
+        Loc.isValid() ? uint64_t(Loc.Line) << 32 | Loc.Column : 0;
+    auto [It, Fresh] = Sites.try_emplace(Key);
+    if (Fresh)
+      It->second.Label = Coercions.internLabel(Loc.str());
+    return It->second;
+  }
+
+  int siteIndex(SourceLoc Loc) {
+    Site &S = site(Loc);
+    if (S.Index < 0) {
+      S.Index = static_cast<int32_t>(Prog.Sites.size());
+      Prog.Sites.push_back({S.Label});
+    }
+    return S.Index;
+  }
+
+  /// The cast-table entry for \p Src => \p Tgt blamed at \p At, added
+  /// on first use.
+  int castIndex(Site &At, const Type *Src, const Type *Tgt,
+                const Coercion *C) {
+    for (int32_t I = At.LastCast; I >= 0; I = NextCast[I])
+      if (Prog.Casts[I].Src == Src && Prog.Casts[I].Tgt == Tgt)
+        return I;
     // Labels live in the coercion factory's interner so descriptors can
     // share pointers with coercions.
-    Desc.Label = internLabel(Label);
-    if (castModePrebuildsCoercions(Mode))
-      Desc.C = Coercions.make(Src, Tgt, Label);
-    // Dedupe.
-    for (size_t I = 0; I != Prog.Casts.size(); ++I) {
-      const CastDescriptor &Existing = Prog.Casts[I];
-      if (Existing.Src == Desc.Src && Existing.Tgt == Desc.Tgt &&
-          Existing.Label == Desc.Label)
-        return static_cast<int>(I);
-    }
-    Prog.Casts.push_back(Desc);
-    return static_cast<int>(Prog.Casts.size() - 1);
-  }
-
-  const std::string *internLabel(const std::string &Label) {
-    return Coercions.internLabel(Label);
-  }
-
-  int siteIndex(const std::string &Label) {
-    const std::string *Interned = internLabel(Label);
-    for (size_t I = 0; I != Prog.Sites.size(); ++I)
-      if (Prog.Sites[I].Label == Interned)
-        return static_cast<int>(I);
-    Prog.Sites.push_back({Interned});
-    return static_cast<int>(Prog.Sites.size() - 1);
+    Prog.Casts.push_back(
+        {Src, Tgt, At.Label, castModePrebuildsCoercions(Mode) ? C : nullptr});
+    NextCast.push_back(At.LastCast);
+    At.LastCast = static_cast<int32_t>(Prog.Casts.size() - 1);
+    return At.LastCast;
   }
 
   int typeIndex(const Type *T) {
@@ -317,21 +306,24 @@ private:
   // Variable access
   //===--------------------------------------------------------------------===//
 
-  /// Emits a load of \p Name in \p Ctx, adding capture entries as needed.
-  void emitVarLoad(FnCtx &Ctx, const std::string &Name) {
-    int Slot = Ctx.findLocal(Name);
-    if (Slot >= 0) {
-      Ctx.Fn->Code.push_back({Op::LocalGet, Slot, 0});
+  /// Gives \p Binder a fresh slot in the current function.
+  int bindLocal(uint32_t Binder) {
+    int Slot = CurrentFn->allocLocal();
+    Homes[Binder] = {CurrentFn->Index, Slot};
+    return Slot;
+  }
+
+  /// Emits a load of \p Binder in \p Ctx, adding capture entries as needed.
+  void emitVarLoad(FnCtx &Ctx, uint32_t Binder) {
+    const Home &H = Homes[Binder];
+    assert(H.Fn >= 0 && "variable used outside its binder's scope");
+    if (H.Fn == Ctx.Index) {
+      Ctx.Fn->Code.push_back({Op::LocalGet, H.Slot, 0});
       return;
     }
     // Captured from an enclosing function.
-    if (!Ctx.Parent) {
-      fail("unbound variable '" + Name + "' during compilation");
-      Ctx.Fn->Code.push_back({Op::PushUnit, 0, 0});
-      return;
-    }
-    int Index = Ctx.freeIndex(Name);
-    Ctx.Fn->Code.push_back({Op::FreeGet, Index, 0});
+    assert(Ctx.Parent && "captured variable with no enclosing function");
+    Ctx.Fn->Code.push_back({Op::FreeGet, Ctx.captureIndex(Binder), 0});
   }
 
   //===--------------------------------------------------------------------===//
@@ -339,40 +331,39 @@ private:
   //===--------------------------------------------------------------------===//
 
   /// Compiles \p Lambda into a fresh VM function and returns the function
-  /// index; \p FreeOut receives the capture list (names resolved in the
-  /// enclosing context).
-  int compileLambda(const Node &Lambda, std::vector<std::string> &FreeOut) {
+  /// index; \p FreeOut receives the captured binders.
+  int compileLambda(const Node &Lambda, std::vector<uint32_t> &FreeOut) {
     int FnIndex = static_cast<int>(Prog.Functions.size());
     Prog.Functions.emplace_back();
 
     FnCtx Ctx;
     Ctx.Parent = CurrentFn;
     Ctx.Fn = &Prog.Functions[FnIndex];
+    Ctx.Index = FnIndex;
     Ctx.Fn->Name = "<lambda@" + Lambda.Loc.str() + ">";
-    Ctx.Fn->NumParams = static_cast<uint32_t>(Lambda.ParamNames.size());
-    Ctx.pushScope();
-    for (const std::string &Param : Lambda.ParamNames)
-      Ctx.bind(Param, Ctx.allocLocal());
+    Ctx.Fn->NumParams = static_cast<uint32_t>(Lambda.Ty->arity());
 
     FnCtx *Saved = CurrentFn;
     CurrentFn = &Ctx;
+    for (uint32_t I = 0; I != Ctx.Fn->NumParams; ++I)
+      bindLocal(Lambda.Id + I);
     compile(*Lambda.Subs[0], /*Tail=*/true);
     emit(Op::Return);
     CurrentFn = Saved;
 
     Ctx.Fn->NumLocals = static_cast<uint32_t>(
         std::max<int>(Ctx.MaxLocal, Ctx.Fn->NumParams));
-    FreeOut = Ctx.FreeNames;
+    FreeOut = std::move(Ctx.Captured);
     return FnIndex;
   }
 
   /// Emits capture loads + MakeClosure for \p Lambda in the current
-  /// context. Returns the capture list for letrec backpatching.
-  std::vector<std::string> emitClosure(const Node &Lambda) {
-    std::vector<std::string> Free;
+  /// context. Returns the captured binders for letrec backpatching.
+  std::vector<uint32_t> emitClosure(const Node &Lambda) {
+    std::vector<uint32_t> Free;
     int FnIndex = compileLambda(Lambda, Free);
-    for (const std::string &Name : Free)
-      emitVarLoad(*CurrentFn, Name);
+    for (uint32_t Binder : Free)
+      emitVarLoad(*CurrentFn, Binder);
     emit(Op::MakeClosure, FnIndex, static_cast<int32_t>(Free.size()));
     return Free;
   }
@@ -405,18 +396,12 @@ private:
       emit(Op::PushChar, static_cast<unsigned char>(N.CharVal));
       return;
     case NodeKind::LocalRef:
-      emitVarLoad(*CurrentFn, N.Name);
+      emitVarLoad(*CurrentFn, N.Id);
       return;
-    case NodeKind::GlobalRef: {
-      auto It = GlobalIndex.find(N.Name);
-      if (It == GlobalIndex.end()) {
-        fail("unknown global '" + N.Name + "'");
-        emit(Op::PushUnit);
-        return;
-      }
-      emit(Op::GlobalGet, It->second);
+    case NodeKind::GlobalRef:
+      assert(N.Id < Prog.GlobalNames.size() && "global index out of range");
+      emit(Op::GlobalGet, static_cast<int32_t>(N.Id));
       return;
-    }
     case NodeKind::If: {
       compile(*N.Subs[0], false);
       size_t ElseJump = emitJump(Op::JumpIfFalse);
@@ -443,7 +428,7 @@ private:
       for (const NodePtr &Sub : N.Subs)
         compile(*Sub, false);
       emit(Op::AppDyn, static_cast<int32_t>(N.Subs.size() - 1),
-           siteIndex(N.BlameLabel));
+           siteIndex(N.Loc));
       return;
     }
     case NodeKind::PrimApp: {
@@ -453,22 +438,18 @@ private:
       return;
     }
     case NodeKind::Let: {
-      size_t NumBindings = N.BindingNames.size();
+      auto NumBindings = static_cast<uint32_t>(N.Subs.size() - 1);
       int SavedNext = CurrentFn->NextLocal;
-      std::vector<int> Slots;
-      Slots.reserve(NumBindings);
-      for (size_t I = 0; I != NumBindings; ++I)
-        Slots.push_back(CurrentFn->allocLocal());
-      // Parallel let: initializers see the outer scope only.
-      for (size_t I = 0; I != NumBindings; ++I) {
+      for (uint32_t I = 0; I != NumBindings; ++I)
+        bindLocal(N.Id + I);
+      // Parallel let: the checker resolved the initializers in the outer
+      // scope, so they never name these binders.
+      for (uint32_t I = 0; I != NumBindings; ++I) {
         compile(*N.Subs[I], false);
-        emit(Op::LocalSet, Slots[I]);
+        emit(Op::LocalSet, Homes[N.Id + I].Slot);
       }
-      CurrentFn->pushScope();
-      for (size_t I = 0; I != NumBindings; ++I)
-        CurrentFn->bind(N.BindingNames[I], Slots[I]);
       compile(*N.Subs.back(), Tail);
-      CurrentFn->popScope(SavedNext);
+      CurrentFn->NextLocal = SavedNext;
       return;
     }
     case NodeKind::Letrec:
@@ -504,7 +485,7 @@ private:
       requireGradual("tuple projection on Dyn");
       compile(*N.Subs[0], false);
       emit(Op::TupleProjDyn, static_cast<int32_t>(N.Index),
-           siteIndex(N.BlameLabel));
+           siteIndex(N.Loc));
       return;
     case NodeKind::BoxAlloc:
       compile(*N.Subs[0], false);
@@ -520,14 +501,14 @@ private:
           (Mode == CastMode::Monotonic && N.Ty->isStatic()))
         emit(Op::BoxGetFast);
       else if (Mode == CastMode::Monotonic)
-        emit(Op::BoxGetMono, typeIndex(N.Ty), siteIndex(N.Loc.str()));
+        emit(Op::BoxGetMono, typeIndex(N.Ty), siteIndex(N.Loc));
       else
         emit(Op::BoxGet);
       return;
     case NodeKind::UnboxDyn:
       requireGradual("unbox on Dyn");
       compile(*N.Subs[0], false);
-      emit(Op::UnboxDyn, siteIndex(N.BlameLabel));
+      emit(Op::UnboxDyn, siteIndex(N.Loc));
       return;
     case NodeKind::BoxSet:
       compile(*N.Subs[0], false);
@@ -537,7 +518,7 @@ private:
         emit(Op::BoxSetFast);
       else if (Mode == CastMode::Monotonic)
         emit(Op::BoxSetMono, typeIndex(N.Subs[1]->Ty),
-             siteIndex(N.Loc.str()));
+             siteIndex(N.Loc));
       else
         emit(Op::BoxSet);
       return;
@@ -545,7 +526,7 @@ private:
       requireGradual("box-set! on Dyn");
       compile(*N.Subs[0], false);
       compile(*N.Subs[1], false);
-      emit(Op::BoxSetDyn, siteIndex(N.BlameLabel));
+      emit(Op::BoxSetDyn, siteIndex(N.Loc));
       return;
     case NodeKind::MakeVect:
       compile(*N.Subs[0], false);
@@ -562,7 +543,7 @@ private:
           (Mode == CastMode::Monotonic && N.Ty->isStatic()))
         emit(Op::VecRefFast);
       else if (Mode == CastMode::Monotonic)
-        emit(Op::VecRefMono, typeIndex(N.Ty), siteIndex(N.Loc.str()));
+        emit(Op::VecRefMono, typeIndex(N.Ty), siteIndex(N.Loc));
       else
         emit(Op::VecRef);
       return;
@@ -570,7 +551,7 @@ private:
       requireGradual("vector-ref on Dyn");
       compile(*N.Subs[0], false);
       compile(*N.Subs[1], false);
-      emit(Op::VecRefDyn, siteIndex(N.BlameLabel));
+      emit(Op::VecRefDyn, siteIndex(N.Loc));
       return;
     case NodeKind::VectSet:
       compile(*N.Subs[0], false);
@@ -581,7 +562,7 @@ private:
         emit(Op::VecSetFast);
       else if (Mode == CastMode::Monotonic)
         emit(Op::VecSetMono, typeIndex(N.Subs[2]->Ty),
-             siteIndex(N.Loc.str()));
+             siteIndex(N.Loc));
       else
         emit(Op::VecSet);
       return;
@@ -590,7 +571,7 @@ private:
       compile(*N.Subs[0], false);
       compile(*N.Subs[1], false);
       compile(*N.Subs[2], false);
-      emit(Op::VecSetDyn, siteIndex(N.BlameLabel));
+      emit(Op::VecSetDyn, siteIndex(N.Loc));
       return;
     case NodeKind::VectLen:
       compile(*N.Subs[0], false);
@@ -602,7 +583,7 @@ private:
     case NodeKind::VectLenDyn:
       requireGradual("vector-length on Dyn");
       compile(*N.Subs[0], false);
-      emit(Op::VecLenDyn, siteIndex(N.BlameLabel));
+      emit(Op::VecLenDyn, siteIndex(N.Loc));
       return;
     case NodeKind::Cast: {
       compile(*N.Subs[0], false);
@@ -618,11 +599,13 @@ private:
   /// cast specialization, and it is what lets Static Grift accept fully
   /// static programs that use recursive types.
   void emitCast(const Node &N) {
-    const Coercion *C = Coercions.make(N.SrcTy, N.Ty, N.BlameLabel);
+    Site &At = site(N.Loc);
+    const Coercion *C = Coercions.makeInterned(N.SrcTy, N.Ty, At.Label);
     if (C->isId())
       return;
-    requireGradual("cast from " + N.SrcTy->str() + " to " + N.Ty->str());
-    emit(Op::Cast, castIndex(N.SrcTy, N.Ty, N.BlameLabel));
+    if (Mode == CastMode::Static)
+      requireGradual("cast from " + N.SrcTy->str() + " to " + N.Ty->str());
+    emit(Op::Cast, castIndex(At, N.SrcTy, N.Ty, C));
   }
 
   void checkStatic(const Node &N) {
@@ -633,25 +616,21 @@ private:
       checkStatic(*Sub);
   }
 
-  void requireGradual(const std::string &What) {
+  void requireGradual(std::string_view What) {
     if (Mode == CastMode::Static)
-      fail("Static Grift requires a fully static program, found " + What);
+      fail("Static Grift requires a fully static program, found " +
+           std::string(What));
   }
 
   void compileLetrec(const Node &N, bool Tail) {
-    size_t NumBindings = N.BindingNames.size();
+    auto NumBindings = static_cast<uint32_t>(N.Subs.size() - 1);
     int SavedNext = CurrentFn->NextLocal;
-    CurrentFn->pushScope();
-    std::vector<int> Slots;
-    for (size_t I = 0; I != NumBindings; ++I) {
-      int Slot = CurrentFn->allocLocal();
-      Slots.push_back(Slot);
-      CurrentFn->bind(N.BindingNames[I], Slot);
-    }
+    for (uint32_t I = 0; I != NumBindings; ++I)
+      bindLocal(N.Id + I);
     // First pass: create every closure. Sibling captures read the not-
     // yet-initialized local (unit) and are patched below.
-    std::vector<std::vector<std::string>> Captures(NumBindings);
-    for (size_t I = 0; I != NumBindings; ++I) {
+    std::vector<std::vector<uint32_t>> Captures(NumBindings);
+    for (uint32_t I = 0; I != NumBindings; ++I) {
       const Node &Init = *N.Subs[I];
       if (Init.Kind == NodeKind::Lambda) {
         Captures[I] = emitClosure(Init);
@@ -663,36 +642,31 @@ private:
         fail("letrec initializer must be a lambda");
         emit(Op::PushUnit);
       }
-      emit(Op::LocalSet, Slots[I]);
+      emit(Op::LocalSet, Homes[N.Id + I].Slot);
     }
     // Second pass: patch sibling captures with the now-created closures.
-    for (size_t I = 0; I != NumBindings; ++I) {
+    for (uint32_t I = 0; I != NumBindings; ++I) {
       for (size_t FreeIdx = 0; FreeIdx != Captures[I].size(); ++FreeIdx) {
-        const std::string &Name = Captures[I][FreeIdx];
-        bool IsSibling = false;
-        for (const std::string &B : N.BindingNames)
-          if (B == Name)
-            IsSibling = true;
-        if (!IsSibling)
-          continue;
+        uint32_t Binder = Captures[I][FreeIdx];
+        if (Binder - N.Id >= NumBindings)
+          continue; // not a sibling
         // ClosureInitFree reaches the underlying closure through any
         // cast wrappers (DynBox, proxy closure) the initializer's
         // annotation cast may have added.
-        emit(Op::LocalGet, Slots[I]); // the closure to patch
-        emitVarLoad(*CurrentFn, Name);
+        emit(Op::LocalGet, Homes[N.Id + I].Slot); // the closure to patch
+        emitVarLoad(*CurrentFn, Binder);
         emit(Op::ClosureInitFree, static_cast<int32_t>(FreeIdx));
       }
     }
     compile(*N.Subs.back(), Tail);
-    CurrentFn->popScope(SavedNext);
+    CurrentFn->NextLocal = SavedNext;
   }
 
   void compileRepeat(const Node &N) {
     int SavedNext = CurrentFn->NextLocal;
-    CurrentFn->pushScope();
-    int IndexSlot = CurrentFn->allocLocal();
+    int IndexSlot = bindLocal(N.Id);
     int LimitSlot = CurrentFn->allocLocal();
-    int AccSlot = N.HasAcc ? CurrentFn->allocLocal() : -1;
+    int AccSlot = N.HasAcc ? bindLocal(N.Id + 1) : -1;
 
     compile(*N.Subs[0], false); // lo
     emit(Op::LocalSet, IndexSlot);
@@ -704,10 +678,6 @@ private:
       emit(Op::LocalSet, AccSlot);
       BodyIndex = 3;
     }
-
-    CurrentFn->bind(N.Name, IndexSlot);
-    if (N.HasAcc)
-      CurrentFn->bind(N.AccName, AccSlot);
 
     size_t LoopTop = code().size();
     emit(Op::LocalGet, IndexSlot);
@@ -732,17 +702,17 @@ private:
       emit(Op::LocalGet, AccSlot);
     else
       emit(Op::PushUnit);
-    CurrentFn->popScope(SavedNext);
+    CurrentFn->NextLocal = SavedNext;
   }
 };
 
 } // namespace
 
 std::optional<VMProgram> grift::compileProgram(const CoreProgram &Prog,
-                                               TypeContext &Types,
+                                               TypeContext &,
                                                CoercionFactory &Coercions,
                                                CastMode Mode,
                                                std::string &Error,
                                                bool Fuse) {
-  return Compiler(Prog, Types, Coercions, Mode, Fuse).run(Error);
+  return Compiler(Prog, Coercions, Mode, Fuse).run(Error);
 }

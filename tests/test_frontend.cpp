@@ -303,7 +303,7 @@ TEST_F(FrontendTest, BlameLabelsCarryLocation) {
   core::CoreProgram Core = checkOk("(ann\n  1 Dyn)");
   const core::Node &Cast = *Core.Defs[0].Body;
   ASSERT_EQ(Cast.Kind, core::NodeKind::Cast);
-  EXPECT_EQ(Cast.BlameLabel, "1:1");
+  EXPECT_EQ(Cast.blameLabel(), "1:1");
 }
 
 TEST_F(FrontendTest, TimePreservesType) {

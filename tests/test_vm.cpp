@@ -9,6 +9,7 @@
 ///
 //===----------------------------------------------------------------------===//
 #include "grift/Grift.h"
+#include "refinterp/RefInterp.h"
 
 #include <gtest/gtest.h>
 
@@ -187,6 +188,53 @@ TEST_F(VMTest, RepeatLoop) {
                "  (begin (repeat (i 0 5) (vector-set! v i (* i i)))"
                "         (vector-ref v 4)))",
                "16");
+}
+
+/// Binders the checker must resolve exactly as lexical scope does:
+/// duplicate names in one binding form, a repeat accumulator named like
+/// its index, shadowing across lambdas and sibling letrec bindings. The
+/// reference interpreter resolves names itself, so it is the oracle for
+/// the binder ids codegen compiles from.
+TEST_F(VMTest, BindersResolveLexicallyInEveryMode) {
+  struct Case {
+    const char *Source;
+    const char *Expected;
+  };
+  const Case Cases[] = {
+      {"(let ([x 1] [x 2]) x)", "2"},
+      {"((lambda (x x) x) 1 2)", "2"},
+      {"(letrec ([f (lambda () 1)] [f (lambda () 2)]) (f))", "2"},
+      {"(repeat (i 0 3) (i 10) (+ i 1))", "13"},
+      {"(let ([x 1]) (repeat (x 0 3) (a x) (+ a x)))", "4"},
+      // A local shadowing a global, read under a lambda.
+      {"(define x 5) (let ([x 1]) ((lambda () x)))", "1"},
+      // A capture through three lambda levels.
+      {"(let ([x 1]) ((lambda () ((lambda () ((lambda () x)))))))", "1"},
+      // A letrec sibling shadowed by an inner let.
+      {"(letrec ([f (lambda () (let ([g (lambda () #t)]) (g)))]"
+       "         [g (lambda () #f)])"
+       "  (f))",
+       "#t"},
+  };
+  for (const Case &C : Cases) {
+    for (CastMode Mode : AllCastModes) {
+      if (Mode == CastMode::Static)
+        continue;
+      RunResult R = runMode(C.Source, Mode);
+      ASSERT_TRUE(R.OK) << R.Error.str() << " for " << C.Source;
+      EXPECT_EQ(R.ResultText, C.Expected)
+          << C.Source << " in " << castModeName(Mode);
+    }
+    std::string Errors;
+    auto Ast = G.parse(C.Source, Errors);
+    ASSERT_TRUE(Ast) << Errors;
+    auto Core = G.check(*Ast, Errors);
+    ASSERT_TRUE(Core) << Errors;
+    refinterp::RefResult Ref =
+        refinterp::interpret(G.types(), G.coercions(), *Core);
+    ASSERT_TRUE(Ref.OK) << Ref.Message << " for " << C.Source;
+    EXPECT_EQ(Ref.ResultText, C.Expected) << C.Source << " in refinterp";
+  }
 }
 
 TEST_F(VMTest, TuplesWork) {
