@@ -523,7 +523,8 @@ bool measureColdWarm(const Spec &S, CastMode Mode, unsigned Repeats,
     Grift G;
     VMProgram Prog;
     int64_t T0 = nowNanos();
-    if (!Store.load(Key, G.types(), G.coercions(), Prog, S.Source)) {
+    if (!Store.load(Key, G.types(), G.coercions(), Prog, S.Source, Mode,
+                    S.Optimize)) {
       std::fprintf(stderr, "benchjson: warm load missed for %s [%s]: %s\n",
                    S.Name.c_str(), castModeName(Mode),
                    Store.lastReason().c_str());

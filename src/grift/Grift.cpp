@@ -74,5 +74,6 @@ std::optional<Executable> Grift::compileAst(const Program &Ast, CastMode Mode,
     Errors += CompileError;
     return std::nullopt;
   }
+  Prog->Optimized = Optimize;
   return Executable(*this, std::move(*Prog));
 }

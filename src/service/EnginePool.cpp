@@ -42,7 +42,7 @@ EnginePool::Slot::compileCached(const JobSpec &Spec, bool &WasHit,
     // Warm start: a validated image deserializes straight into this
     // slot's engine — no parse, no typecheck, no coercion derivation.
     if (ProgStore->load(StoreKey, Engine.types(), Engine.coercions(), Prog,
-                        Spec.Source)) {
+                        Spec.Source, Spec.Mode, Spec.Optimize)) {
       Entry.Exe = Engine.adopt(std::move(Prog));
       FromStore = true;
     }

@@ -42,13 +42,13 @@ constexpr uint64_t ImageMagic = 0x00474D4954465247ull;
 
 /// Bump on ANY encoding change (see the versioning policy above).
 /// Version 2: the fixnum and cast-shape opcodes, and the source text in
-/// the Meta section.
-constexpr uint32_t FormatVersion = 2;
+/// the Meta section. Version 3: the optimize flag in the Meta section.
+constexpr uint32_t FormatVersion = 3;
 
 /// Section identifiers. Order in the file is not significant; the table
 /// is searched by id.
 enum class SectionId : uint32_t {
-  Meta = 1,      ///< mode, main function, source text
+  Meta = 1,      ///< mode, optimize flag, main function, source text
   Strings = 2,   ///< interned blame labels and names
   Types = 3,     ///< interned type table, topologically ordered
   Coercions = 4, ///< normal-form coercion graph (μ back-edges allowed)
@@ -123,6 +123,7 @@ enum class LoadStatus : uint8_t {
   BadPayload,      ///< section bytes failed structural validation on load
   IOError,         ///< open/map failed for a reason other than ENOENT
   SourceMismatch,  ///< a valid image built from another source (key collision)
+  ModeMismatch,    ///< a valid image built for another mode or optimize flag
 };
 
 inline const char *loadStatusName(LoadStatus S) {
@@ -140,6 +141,7 @@ inline const char *loadStatusName(LoadStatus S) {
   case LoadStatus::BadPayload:      return "bad-payload";
   case LoadStatus::IOError:         return "io-error";
   case LoadStatus::SourceMismatch:  return "source-mismatch";
+  case LoadStatus::ModeMismatch:    return "mode-mismatch";
   }
   return "?";
 }

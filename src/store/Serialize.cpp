@@ -317,6 +317,7 @@ std::string store::serializeProgram(const VMProgram &Prog, uint64_t KeyHash,
 
   Writer Meta;
   Meta.u8(static_cast<uint8_t>(Prog.Mode));
+  Meta.u8(Prog.Optimized ? 1 : 0);
   Meta.u32(Prog.MainFunction);
   Meta.str(Source);
 
@@ -568,8 +569,7 @@ bool validateCode(const VMProgram &Prog, std::string &Error) {
 
 } // namespace
 
-LoadStatus store::loadProgram(const ImageSections &S,
-                              std::optional<std::string_view> Source,
+LoadStatus store::loadProgram(const ImageSections &S, const Expected &Want,
                               TypeContext &TypesCtx,
                               CoercionFactory &Coercions, VMProgram &Out,
                               std::string &Error) {
@@ -578,18 +578,26 @@ LoadStatus store::loadProgram(const ImageSections &S,
     return LoadStatus::BadPayload;
   };
 
-  // Meta. The source check comes before anything is interned.
+  // Meta. The request checks come before anything is interned.
   Reader Meta(S.Meta);
   uint8_t ModeByte = Meta.u8();
+  uint8_t OptimizeByte = Meta.u8();
   uint32_t Main = Meta.u32();
   std::string_view Recorded = Meta.str();
-  if (!Meta.atEnd() || ModeByte >= NumCastModes)
+  if (!Meta.atEnd() || ModeByte >= NumCastModes || OptimizeByte > 1)
     return Fail("meta section malformed");
-  if (Source && *Source != Recorded) {
+  if (Want.Source && *Want.Source != Recorded) {
     Error = "image was built from another source";
     return LoadStatus::SourceMismatch;
   }
   Out.Mode = static_cast<CastMode>(ModeByte);
+  Out.Optimized = OptimizeByte == 1;
+  if ((Want.Mode && *Want.Mode != Out.Mode) ||
+      (Want.Optimize && *Want.Optimize != Out.Optimized)) {
+    Error = std::string("image was built for mode ") + castModeName(Out.Mode) +
+            (Out.Optimized ? " with" : " without") + " the optimizer";
+    return LoadStatus::ModeMismatch;
+  }
   Out.MainFunction = Main;
 
   // Strings: re-intern in the factory's label arena.

@@ -64,15 +64,24 @@ LoadStatus validateImage(const uint8_t *Data, size_t Size,
 std::string serializeProgram(const VMProgram &Prog, uint64_t KeyHash,
                              std::string_view Source = {});
 
+/// The compile request an image must have been built for. The key is
+/// only a hash of these, so the Meta section records them too; an unset
+/// field accepts any recorded value.
+struct Expected {
+  std::optional<std::string_view> Source;
+  std::optional<CastMode> Mode;
+  std::optional<bool> Optimize;
+};
+
 /// Deserializes a validated image into \p Out, re-interning types and
 /// labels through \p TypesCtx / \p Coercions and rebuilding the coercion
 /// graph through the factory's smart constructors. Returns Hit, or
 /// BadPayload with \p Error set on any structural violation (the caller
-/// recompiles). When \p Source is given, an image whose Meta section
-/// records any other source text is a SourceMismatch, found before
-/// anything is interned; nullopt accepts any source.
-LoadStatus loadProgram(const ImageSections &S,
-                       std::optional<std::string_view> Source,
+/// recompiles). An image whose Meta section records another source text
+/// than \p Want is a SourceMismatch, and one that records another mode
+/// or optimize flag is a ModeMismatch; both are found before anything is
+/// interned.
+LoadStatus loadProgram(const ImageSections &S, const Expected &Want,
                        TypeContext &TypesCtx, CoercionFactory &Coercions,
                        VMProgram &Out, std::string &Error);
 

@@ -191,7 +191,8 @@ void Store::noteMiss(LoadStatus Status, std::string Reason, bool IsCorrupt) {
 void Store::removeEntry(const std::string &Path) { ::unlink(Path.c_str()); }
 
 bool Store::load(uint64_t Key, TypeContext &Types, CoercionFactory &Coercions,
-                 VMProgram &Out, std::string_view Source) {
+                 VMProgram &Out, std::string_view Source,
+                 std::optional<CastMode> Mode, bool Optimize) {
   if (!enabled())
     return false;
   std::string Path = entryPath(Key);
@@ -214,11 +215,13 @@ bool Store::load(uint64_t Key, TypeContext &Types, CoercionFactory &Coercions,
     return false;
   }
   VMProgram Prog;
-  St = loadProgram(Secs, Source, Types, Coercions, Prog, Reason);
+  St = loadProgram(Secs, {Source, Mode, Optimize}, Types, Coercions, Prog,
+                   Reason);
   if (St != LoadStatus::Hit) {
-    // A valid image of another source is a collision, not corruption:
+    // A valid image of another request is a collision, not corruption:
     // the follow-up put() overwrites it.
-    bool IsCorrupt = St != LoadStatus::SourceMismatch;
+    bool IsCorrupt = St != LoadStatus::SourceMismatch &&
+                     St != LoadStatus::ModeMismatch;
     noteMiss(St, std::move(Reason), IsCorrupt);
     if (IsCorrupt)
       removeEntry(Path);
@@ -371,7 +374,7 @@ Store::VerifyResult Store::verifyAll() {
       TypeContext Types;
       CoercionFactory Coercions(Types);
       VMProgram Prog;
-      Ok = loadProgram(Secs, std::nullopt, Types, Coercions, Prog, Reason) ==
+      Ok = loadProgram(Secs, {}, Types, Coercions, Prog, Reason) ==
            LoadStatus::Hit;
     }
     if (Ok) {

@@ -97,16 +97,19 @@ public:
   /// validated hit. Every other outcome counts as a miss — corrupt
   /// entries additionally count as corrupt and are deleted so the
   /// follow-up put() replaces them. The key is only a hash, so the image
-  /// must also record exactly \p Source, the text the caller would
-  /// compile: a valid image built from another source (a key collision)
-  /// is a SourceMismatch miss that the follow-up put() overwrites.
+  /// must also record exactly the request the caller would compile:
+  /// \p Source, \p Mode and \p Optimize. A valid image built for another
+  /// request (a key collision) is a SourceMismatch or ModeMismatch miss
+  /// that the follow-up put() overwrites.
   ///
-  /// The empty-source defaults of load() and put() exist only for
-  /// perfbench's store replay, which predates the source check; griftc
-  /// and EnginePool always pass the source. Drop them when perfbench is
-  /// next changed.
+  /// The empty-source and any-mode defaults of load() and put() exist
+  /// only for perfbench's store replay, which predates these checks;
+  /// griftc and EnginePool always pass the whole request. Drop them when
+  /// perfbench is next changed.
   bool load(uint64_t Key, TypeContext &Types, CoercionFactory &Coercions,
-            VMProgram &Out, std::string_view Source = {});
+            VMProgram &Out, std::string_view Source = {},
+            std::optional<CastMode> Mode = std::nullopt,
+            bool Optimize = false);
 
   /// Serializes \p Prog, compiled from \p Source, and publishes it under
   /// \p Key via temp + fsync + rename, then enforces the size cap. False

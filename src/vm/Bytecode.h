@@ -168,6 +168,7 @@ struct VMProgram {
   std::vector<std::string> GlobalNames;
   uint32_t MainFunction = 0;
   CastMode Mode = CastMode::Coercions;
+  bool Optimized = false; ///< compiled after the core-IR optimizer ran
 
   /// Disassembles the program (debugging, golden tests).
   std::string str() const;

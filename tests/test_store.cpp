@@ -513,6 +513,54 @@ TEST_F(StoreTest, KeyCollisionIsACountedMissNotAnotherProgram) {
   EXPECT_EQ(GB.adopt(std::move(ProgB)).run().ResultText, "3");
 }
 
+TEST_F(StoreTest, ModeOrOptimizeMismatchIsACountedMissBeforeInterning) {
+  // Hand-built images whose header key is the one looked up but whose
+  // Meta records another mode, or another optimize flag: what a key
+  // collision between two requests for the same source would leave.
+  Store S = makeStore();
+  const std::string Source = "(ann (ann 1 Dyn) Int)";
+  Grift Compiler;
+  std::string Errors;
+  auto Exe = Compiler.compile(Source, CastMode::Coercions, Errors);
+  ASSERT_TRUE(Exe.has_value()) << Errors;
+  struct Request {
+    CastMode Mode;
+    bool Optimize;
+  };
+  for (Request R : {Request{CastMode::TypeBased, false},
+                    Request{CastMode::Coercions, true}}) {
+    uint64_t Key = Store::key(Source, R.Mode, R.Optimize);
+    char Name[32];
+    std::snprintf(Name, sizeof Name, "%016llx.img",
+                  static_cast<unsigned long long>(Key));
+    writeFile(Dir + "/" + Name, serializeProgram(Exe->program(), Key, Source));
+
+    Grift G;
+    size_t FreshNodes = G.coercions().allocatedNodes();
+    VMProgram Prog;
+    EXPECT_FALSE(S.load(Key, G.types(), G.coercions(), Prog, Source, R.Mode,
+                        R.Optimize));
+    EXPECT_EQ(S.lastStatus(), LoadStatus::ModeMismatch) << S.lastReason();
+    EXPECT_EQ(G.coercions().allocatedNodes(), FreshNodes);
+    // A collision is not corruption: the entry stays for put() to replace.
+    EXPECT_EQ(::access((Dir + "/" + Name).c_str(), F_OK), 0);
+  }
+  StoreStats St = S.stats();
+  EXPECT_EQ(St.Hits, 0u);
+  EXPECT_EQ(St.Misses, 2u);
+  EXPECT_EQ(St.Corrupt, 0u);
+
+  // The request the image was built for still hits.
+  uint64_t Key = Store::key(Source, CastMode::Coercions, false);
+  ASSERT_TRUE(S.put(Key, Exe->program(), Source));
+  Grift G;
+  VMProgram Prog;
+  ASSERT_TRUE(S.load(Key, G.types(), G.coercions(), Prog, Source,
+                     CastMode::Coercions, false));
+  EXPECT_EQ(Prog.Mode, CastMode::Coercions);
+  EXPECT_FALSE(Prog.Optimized);
+}
+
 TEST_F(StoreTest, VerifyAllSweepsCorruptEntriesAndTempFiles) {
   Store S = makeStore();
   uint64_t K1 = 0, K2 = 0;
@@ -816,8 +864,8 @@ bool reload(const VMProgram &Prog, std::string &Error) {
     return false;
   Grift G;
   VMProgram Out;
-  return loadProgram(Sections, std::nullopt, G.types(), G.coercions(), Out,
-                     Error) == LoadStatus::Hit;
+  return loadProgram(Sections, {}, G.types(), G.coercions(), Out, Error) ==
+         LoadStatus::Hit;
 }
 
 /// The first instruction with opcode \p Code.

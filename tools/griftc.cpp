@@ -322,7 +322,8 @@ int main(int Argc, char **Argv) {
   std::optional<Executable> Exe;
   if (PStore && PStore->enabled()) {
     VMProgram Prog;
-    if (PStore->load(StoreKey, G.types(), G.coercions(), Prog, Source))
+    if (PStore->load(StoreKey, G.types(), G.coercions(), Prog, Source, Mode,
+                     Optimize))
       Exe = G.adopt(std::move(Prog));
   }
   if (!Exe) {
