@@ -612,6 +612,92 @@ TEST_F(VMTest, CastCountsAreTracked) {
   EXPECT_GE(R.Stats.CastsApplied, 200u);
 }
 
+TEST_F(VMTest, AtomicCastShapesAgreeAcrossModes) {
+  // An atomic injection and an exact-match projection do the same in
+  // every gradual mode, through a Cast, the argument and result casts of
+  // a Dyn application, a Dyn tuple projection and a Dyn box read. Every
+  // mode must print the same value and count the same casts.
+  //
+  // Under minor-GC torture every cast that enters through a Runtime entry
+  // point takes one torture step, the shared shapes included, so the
+  // forced collections agree too, apart from two protocol differences
+  // of one step per iteration: coercion-passing applies a Dyn call's
+  // result cast as a composed return coercion (no entry point), and
+  // monotonic reads a Dyn box through Runtime::castRuntime against the
+  // cell's own runtime type (an entry point the other modes' inline read
+  // does not take).
+  struct Atomic {
+    const char *Type;
+    const char *Literal;
+  };
+  const Atomic Atomics[] = {
+      {"Int", "42"}, {"Float", "2.5"}, {"Bool", "#t"}, {"Char", "#\\a"},
+      {"Unit", "()"}};
+  struct Form {
+    const char *Text; // X stands for the literal, T for its type
+    CastMode StepMode;
+    int StepDelta; // StepMode's extra torture steps per iteration
+  };
+  const Form Forms[] = {
+      {"(ann (ann X Dyn) T)", CastMode::Coercions, 0},
+      {"(ann (f X) T)", CastMode::CoercionPassing, -1},
+      {"(ann (tuple-proj t 1) T)", CastMode::Coercions, 0},
+      {"(ann (unbox b) T)", CastMode::Monotonic, 1},
+  };
+  const int Iterations = 3;
+  for (const Atomic &A : Atomics) {
+    for (const Form &F : Forms) {
+      const std::string T = A.Type, X = A.Literal;
+      std::string Body;
+      for (char C : std::string_view(F.Text))
+        Body += C == 'X' ? X : C == 'T' ? T : std::string(1, C);
+      const std::string Source =
+          "(let ([f : Dyn (lambda ([x : " + T + "]) : " + T + " x)]"
+          "      [t : Dyn (tuple " + X + " " + X + ")]"
+          "      [b : Dyn (box " + X + ")])"
+          "  (repeat (i 0 " + std::to_string(Iterations) + ") (acc : " + T +
+          " " + X + ") " + Body + "))";
+      std::optional<uint64_t> Casts;
+      std::optional<int64_t> Steps;
+      for (CastMode Mode : GradualCastModes) {
+        const std::string Context = Source + " in " + castModeName(Mode);
+        std::string Errors;
+        auto Exe = G.compile(Source, Mode, Errors);
+        ASSERT_TRUE(Exe.has_value()) << Errors;
+        RunResult Plain = Exe->run();
+        ASSERT_TRUE(Plain.OK) << Plain.Error.str() << " for " << Context;
+        EXPECT_EQ(Plain.ResultText, X) << Context;
+        EXPECT_EQ(Plain.Stats.CastsApplied,
+                  Casts.value_or(Plain.Stats.CastsApplied))
+            << Context;
+        Casts = Plain.Stats.CastsApplied;
+
+        FaultInjector Injector;
+        Injector.MinorGCTorturePeriod = 1;
+        RunResult Tortured = Exe->run("", {}, &Injector);
+        ASSERT_TRUE(Tortured.OK) << Tortured.Error.str() << " for " << Context;
+        EXPECT_EQ(Tortured.ResultText, X) << Context;
+        const int64_t Shared =
+            static_cast<int64_t>(Injector.ForcedMinorCollections) -
+            (Mode == F.StepMode ? F.StepDelta * Iterations : 0);
+        EXPECT_EQ(Shared, Steps.value_or(Shared)) << Context;
+        Steps = Shared;
+      }
+      EXPECT_GT(*Steps, 0) << Source;
+    }
+  }
+
+  std::optional<std::string> Label;
+  for (CastMode Mode : GradualCastModes) {
+    RunResult R = runMode("(ann (ann #t Dyn) Int)", Mode);
+    ASSERT_FALSE(R.OK) << castModeName(Mode);
+    EXPECT_EQ(R.Error.Kind, ErrorKind::Blame) << castModeName(Mode);
+    EXPECT_EQ(R.Error.Label, Label.value_or(R.Error.Label))
+        << castModeName(Mode);
+    Label = R.Error.Label;
+  }
+}
+
 TEST_F(VMTest, UntypedProgramsRun) {
   // Fully dynamic code: every annotation omitted.
   EXPECT_EQ(expectModesAgree("(define (map2 f v)"
