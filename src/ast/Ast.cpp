@@ -6,108 +6,73 @@
 
 using namespace grift;
 
-ExprPtr Expr::clone() const {
-  auto Copy = std::make_unique<Expr>();
-  Copy->Kind = Kind;
-  Copy->Loc = Loc;
-  Copy->IntVal = IntVal;
-  Copy->FloatVal = FloatVal;
-  Copy->BoolVal = BoolVal;
-  Copy->CharVal = CharVal;
-  Copy->Name = Name;
-  Copy->Prim = Prim;
-  Copy->Index = Index;
-  Copy->HasAcc = HasAcc;
-  Copy->AccName = AccName;
-  Copy->AccAnnot = AccAnnot;
-  Copy->ReturnAnnot = ReturnAnnot;
-  Copy->Annot = Annot;
-  Copy->Params = Params;
-  Copy->Bindings.reserve(Bindings.size());
-  for (const Binding &B : Bindings) {
-    Binding NewBinding;
-    NewBinding.Name = B.Name;
-    NewBinding.Annot = B.Annot;
-    NewBinding.Init = B.Init ? B.Init->clone() : nullptr;
-    NewBinding.Loc = B.Loc;
-    Copy->Bindings.push_back(std::move(NewBinding));
-  }
-  Copy->SubExprs.reserve(SubExprs.size());
-  for (const ExprPtr &Sub : SubExprs)
-    Copy->SubExprs.push_back(Sub->clone());
-  return Copy;
-}
+namespace {
 
-Define Define::clone() const {
-  Define Copy;
-  Copy.Name = Name;
-  Copy.Annot = Annot;
-  Copy.Body = Body ? Body->clone() : nullptr;
-  Copy.Loc = Loc;
-  return Copy;
-}
+/// Deep-copies expressions, names and lists into one arena.
+struct Cloner {
+  Arena &A;
+
+  Expr *expr(const Expr &E) {
+    Expr *Copy = A.make<Expr>(E);
+    Copy->Name = A.copy(E.Name);
+    Copy->AccName = A.copy(E.AccName);
+    Copy->Params = A.copy<Param>(E.Params);
+    for (Param &P : Copy->Params)
+      P.Name = A.copy(P.Name);
+    Copy->Bindings = A.copy<Binding>(E.Bindings);
+    for (Binding &B : Copy->Bindings) {
+      B.Name = A.copy(B.Name);
+      B.Init = expr(*B.Init);
+    }
+    Copy->SubExprs = A.copy<Expr *>(E.SubExprs);
+    for (Expr *&Sub : Copy->SubExprs)
+      Sub = expr(*Sub);
+    return Copy;
+  }
+};
+
+} // namespace
+
+Program::Program() : Nodes(std::make_unique<Arena>()) {}
 
 Program Program::clone() const {
   Program Copy;
+  Cloner C{Copy.arena()};
   Copy.Defines.reserve(Defines.size());
-  for (const Define &D : Defines)
-    Copy.Defines.push_back(D.clone());
+  for (const Define &D : Defines) {
+    Define &New = Copy.Defines.emplace_back(D);
+    New.Name = C.A.copy(D.Name);
+    New.Body = C.expr(*D.Body);
+  }
   return Copy;
 }
 
-ExprPtr grift::makeLitUnit(SourceLoc Loc) {
-  auto E = std::make_unique<Expr>();
-  E->Kind = ExprKind::LitUnit;
-  E->Loc = Loc;
-  return E;
-}
-
-ExprPtr grift::makeLitBool(bool Value, SourceLoc Loc) {
-  auto E = std::make_unique<Expr>();
-  E->Kind = ExprKind::LitBool;
-  E->BoolVal = Value;
-  E->Loc = Loc;
-  return E;
-}
-
-ExprPtr grift::makeLitInt(int64_t Value, SourceLoc Loc) {
-  auto E = std::make_unique<Expr>();
-  E->Kind = ExprKind::LitInt;
-  E->IntVal = Value;
-  E->Loc = Loc;
-  return E;
-}
-
-ExprPtr grift::makeLitFloat(double Value, SourceLoc Loc) {
-  auto E = std::make_unique<Expr>();
-  E->Kind = ExprKind::LitFloat;
-  E->FloatVal = Value;
-  E->Loc = Loc;
-  return E;
-}
-
-ExprPtr grift::makeLitChar(char Value, SourceLoc Loc) {
-  auto E = std::make_unique<Expr>();
-  E->Kind = ExprKind::LitChar;
-  E->CharVal = Value;
-  E->Loc = Loc;
-  return E;
-}
-
-ExprPtr grift::makeVar(std::string Name, SourceLoc Loc) {
-  auto E = std::make_unique<Expr>();
-  E->Kind = ExprKind::Var;
-  E->Name = std::move(Name);
-  E->Loc = Loc;
-  return E;
-}
-
-ExprPtr grift::makeNode(ExprKind Kind, std::vector<ExprPtr> SubExprs,
-                        SourceLoc Loc) {
-  auto E = std::make_unique<Expr>();
+Expr *grift::makeExpr(Arena &A, ExprKind Kind, SourceLoc Loc) {
+  Expr *E = A.make<Expr>();
   E->Kind = Kind;
-  E->SubExprs = std::move(SubExprs);
   E->Loc = Loc;
+  return E;
+}
+
+Expr *grift::makeLitUnit(Arena &A, SourceLoc Loc) {
+  return makeExpr(A, ExprKind::LitUnit, Loc);
+}
+
+Expr *grift::makeLitBool(Arena &A, bool Value, SourceLoc Loc) {
+  Expr *E = makeExpr(A, ExprKind::LitBool, Loc);
+  E->BoolVal = Value;
+  return E;
+}
+
+Expr *grift::makeLitInt(Arena &A, int64_t Value, SourceLoc Loc) {
+  Expr *E = makeExpr(A, ExprKind::LitInt, Loc);
+  E->IntVal = Value;
+  return E;
+}
+
+Expr *grift::makeLitFloat(Arena &A, double Value, SourceLoc Loc) {
+  Expr *E = makeExpr(A, ExprKind::LitFloat, Loc);
+  E->FloatVal = Value;
   return E;
 }
 
@@ -144,11 +109,10 @@ void printParam(const Param &P, std::string &Out) {
   }
 }
 
-void printBody(const std::vector<ExprPtr> &Body, size_t Start,
-               std::string &Out) {
-  for (size_t I = Start; I != Body.size(); ++I) {
+void printBody(std::span<Expr *const> Body, std::string &Out) {
+  for (const Expr *Sub : Body) {
     Out += ' ';
-    printExpr(*Body[I], Out);
+    printExpr(*Sub, Out);
   }
 }
 
@@ -211,7 +175,7 @@ void printExpr(const Expr &E, std::string &Out) {
   case ExprKind::PrimApp: {
     Out += '(';
     Out += primName(E.Prim);
-    printBody(E.SubExprs, 0, Out);
+    printBody(E.SubExprs, Out);
     Out += ')';
     return;
   }
@@ -233,13 +197,13 @@ void printExpr(const Expr &E, std::string &Out) {
       Out += ']';
     }
     Out += ')';
-    printBody(E.SubExprs, 0, Out);
+    printBody(E.SubExprs, Out);
     Out += ')';
     return;
   }
   case ExprKind::Begin:
     Out += "(begin";
-    printBody(E.SubExprs, 0, Out);
+    printBody(E.SubExprs, Out);
     Out += ')';
     return;
   case ExprKind::Repeat: {
@@ -275,7 +239,7 @@ void printExpr(const Expr &E, std::string &Out) {
     return;
   case ExprKind::Tuple:
     Out += "(tuple";
-    printBody(E.SubExprs, 0, Out);
+    printBody(E.SubExprs, Out);
     Out += ')';
     return;
   case ExprKind::TupleProj:

@@ -53,15 +53,9 @@ unsigned grift::primArity(PrimOp Op) {
   return static_cast<unsigned>(info(Op).Signature.find(':'));
 }
 
-std::vector<const Type *> grift::primParams(TypeContext &Ctx, PrimOp Op) {
-  std::string_view Signature = info(Op).Signature;
-  std::vector<const Type *> Params;
-  for (char Letter : Signature) {
-    if (Letter == ':')
-      break;
-    Params.push_back(letterType(Ctx, Letter));
-  }
-  return Params;
+const Type *grift::primParam(TypeContext &Ctx, PrimOp Op, unsigned Index) {
+  assert(Index < primArity(Op) && "operand index out of range");
+  return letterType(Ctx, info(Op).Signature[Index]);
 }
 
 const Type *grift::primResult(TypeContext &Ctx, PrimOp Op) {

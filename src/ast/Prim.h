@@ -12,7 +12,6 @@
 #include "types/TypeContext.h"
 
 #include <string_view>
-#include <vector>
 
 namespace grift {
 
@@ -34,8 +33,9 @@ std::string_view primName(PrimOp Op);
 /// Number of operands \p Op takes.
 unsigned primArity(PrimOp Op);
 
-/// Parameter types of \p Op, materialized in \p Ctx.
-std::vector<const Type *> primParams(TypeContext &Ctx, PrimOp Op);
+/// The type of operand \p Index (< primArity(Op)) of \p Op,
+/// materialized in \p Ctx.
+const Type *primParam(TypeContext &Ctx, PrimOp Op, unsigned Index);
 
 /// Result type of \p Op, materialized in \p Ctx.
 const Type *primResult(TypeContext &Ctx, PrimOp Op);

@@ -14,7 +14,7 @@ struct Printer {
   std::string &Out;
 
   void subs(const Node &N) {
-    for (const NodePtr &Sub : N.Subs) {
+    for (const Node *Sub : N.Subs) {
       Out += ' ';
       node(*Sub);
     }
@@ -189,12 +189,14 @@ struct Printer {
 
 unsigned countCastsIn(const Node &N) {
   unsigned Count = N.Kind == NodeKind::Cast ? 1 : 0;
-  for (const NodePtr &Sub : N.Subs)
+  for (const Node *Sub : N.Subs)
     Count += countCastsIn(*Sub);
   return Count;
 }
 
 } // namespace
+
+CoreProgram::CoreProgram() : Nodes(std::make_unique<Arena>()) {}
 
 std::string CoreProgram::str() const {
   std::string Out;

@@ -16,22 +16,25 @@
 /// elimination form applied to a Dyn value is specialized so that "code
 /// that does what a proxy would do" runs without allocating a proxy.
 ///
+/// Nodes and their child lists live in the CoreProgram's arena, so they
+/// are trivially destructible; a pass that adds nodes (the optimizer)
+/// takes them from the same program's arena().
+///
 //===----------------------------------------------------------------------===//
 #ifndef GRIFT_FRONTEND_COREIR_H
 #define GRIFT_FRONTEND_COREIR_H
 
 #include "ast/Prim.h"
+#include "support/Arena.h"
 #include "support/SourceLoc.h"
 #include "types/Type.h"
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace grift::core {
-
-struct Node;
-using NodePtr = std::unique_ptr<Node>;
 
 /// Core node constructors. `Sub` names Node::Subs.
 enum class NodeKind : uint8_t {
@@ -71,7 +74,8 @@ enum class NodeKind : uint8_t {
   Cast,         ///< SrcTy => Ty, blamed at Loc; Sub = [body]
 };
 
-/// One core IR node. Plain data; built only by the type checker.
+/// One core IR node. Plain data; built by the type checker (and the
+/// optimizer's folds).
 struct Node {
   NodeKind Kind = NodeKind::LitUnit;
   SourceLoc Loc;
@@ -93,11 +97,13 @@ struct Node {
   bool HasAcc = false;         // Repeat
   const Type *SrcTy = nullptr; // Cast source
 
-  std::vector<NodePtr> Subs;
+  std::span<Node *> Subs;
 
   /// The blame label of a Cast or *Dyn node: its source location "L:C".
   std::string blameLabel() const { return Loc.str(); }
 };
+static_assert(std::is_trivially_destructible_v<Node>,
+              "core nodes live in their program's arena");
 
 /// The names of a program's binders and globals, kept beside the IR:
 /// --dump-core, the VM's global table and the reference interpreter read
@@ -111,16 +117,27 @@ struct NameTable {
 struct Def {
   int32_t Global = -1; ///< global index; -1 for an expression statement
   const Type *Ty = nullptr;
-  NodePtr Body;
+  Node *Body = nullptr;
 };
 
-/// A checked program.
-struct CoreProgram {
+/// A checked program, owning the arena its nodes live in. As with the
+/// surface Program, the arena sits behind a pointer, so moving a
+/// CoreProgram moves no node.
+class CoreProgram {
+public:
   std::vector<Def> Defs;
   NameTable Names;
 
+  CoreProgram();
+
+  /// The arena that holds this program's nodes.
+  Arena &arena() { return *Nodes; }
+
   /// Renders a debug S-expression of the core IR (with explicit casts).
   std::string str() const;
+
+private:
+  std::unique_ptr<Arena> Nodes;
 };
 
 /// Counts Cast nodes in a program (tests, experiment reporting).

@@ -1,5 +1,6 @@
 #include "frontend/Optimizer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -33,38 +34,12 @@ bool isEffectFree(const Node &N) {
   }
 }
 
-NodePtr makeLitInt(TypeContext &Types, int64_t Value, SourceLoc Loc) {
-  auto N = std::make_unique<Node>();
-  N->Kind = NodeKind::LitInt;
-  N->Ty = Types.integer();
-  N->IntVal = Value;
-  N->Loc = Loc;
-  return N;
-}
-
-NodePtr makeLitBool(TypeContext &Types, bool Value, SourceLoc Loc) {
-  auto N = std::make_unique<Node>();
-  N->Kind = NodeKind::LitBool;
-  N->Ty = Types.boolean();
-  N->BoolVal = Value;
-  N->Loc = Loc;
-  return N;
-}
-
-NodePtr makeLitFloat(TypeContext &Types, double Value, SourceLoc Loc) {
-  auto N = std::make_unique<Node>();
-  N->Kind = NodeKind::LitFloat;
-  N->Ty = Types.floating();
-  N->FloatVal = Value;
-  N->Loc = Loc;
-  return N;
-}
-
 class Optimizer {
 public:
-  explicit Optimizer(TypeContext &Types) : Types(Types) {}
+  Optimizer(TypeContext &Types, CoreProgram &Prog)
+      : Types(Types), Prog(Prog), A(Prog.arena()) {}
 
-  unsigned run(CoreProgram &Prog) {
+  unsigned run() {
     for (Def &D : Prog.Defs)
       rewrite(D.Body);
     return Rewrites;
@@ -72,11 +47,40 @@ public:
 
 private:
   TypeContext &Types;
+  CoreProgram &Prog;
+  /// Prog's arena, which every folded literal comes from.
+  Arena &A;
   unsigned Rewrites = 0;
 
-  void rewrite(NodePtr &Slot) {
+  Node *makeLit(NodeKind Kind, const Type *Ty, SourceLoc Loc) {
+    Node *N = A.make<Node>();
+    N->Kind = Kind;
+    N->Ty = Ty;
+    N->Loc = Loc;
+    return N;
+  }
+
+  Node *makeLitInt(int64_t Value, SourceLoc Loc) {
+    Node *N = makeLit(NodeKind::LitInt, Types.integer(), Loc);
+    N->IntVal = Value;
+    return N;
+  }
+
+  Node *makeLitBool(bool Value, SourceLoc Loc) {
+    Node *N = makeLit(NodeKind::LitBool, Types.boolean(), Loc);
+    N->BoolVal = Value;
+    return N;
+  }
+
+  Node *makeLitFloat(double Value, SourceLoc Loc) {
+    Node *N = makeLit(NodeKind::LitFloat, Types.floating(), Loc);
+    N->FloatVal = Value;
+    return N;
+  }
+
+  void rewrite(Node *&Slot) {
     // Children first (innermost folds enable outer folds).
-    for (NodePtr &Sub : Slot->Subs)
+    for (Node *&Sub : Slot->Subs)
       rewrite(Sub);
 
     switch (Slot->Kind) {
@@ -86,21 +90,19 @@ private:
     case NodeKind::If:
       // (if #t a b) => a; (if #f a b) => b.
       if (Slot->Subs[0]->Kind == NodeKind::LitBool) {
-        NodePtr Taken = std::move(
-            Slot->Subs[0]->BoolVal ? Slot->Subs[1] : Slot->Subs[2]);
-        Slot = std::move(Taken);
+        Slot = Slot->Subs[0]->BoolVal ? Slot->Subs[1] : Slot->Subs[2];
         ++Rewrites;
       }
       return;
     case NodeKind::Begin: {
-      // Flatten nested begins and drop effect-free statements.
-      std::vector<NodePtr> Flat;
+      // Flatten nested begins and drop effect-free statements. The
+      // statements go back into the begin's own list when they fit.
+      std::vector<Node *> Flat;
       for (size_t I = 0; I != Slot->Subs.size(); ++I) {
         bool Last = I + 1 == Slot->Subs.size();
-        NodePtr &Sub = Slot->Subs[I];
+        Node *Sub = Slot->Subs[I];
         if (Sub->Kind == NodeKind::Begin) {
-          for (NodePtr &Inner : Sub->Subs)
-            Flat.push_back(std::move(Inner));
+          Flat.insert(Flat.end(), Sub->Subs.begin(), Sub->Subs.end());
           ++Rewrites;
           continue;
         }
@@ -108,12 +110,16 @@ private:
           ++Rewrites;
           continue;
         }
-        Flat.push_back(std::move(Sub));
+        Flat.push_back(Sub);
       }
-      Slot->Subs = std::move(Flat);
+      if (Flat.size() <= Slot->Subs.size()) {
+        std::copy(Flat.begin(), Flat.end(), Slot->Subs.begin());
+        Slot->Subs = Slot->Subs.first(Flat.size());
+      } else {
+        Slot->Subs = A.copy<Node *>(Flat);
+      }
       if (Slot->Subs.size() == 1) {
-        NodePtr Only = std::move(Slot->Subs[0]);
-        Slot = std::move(Only);
+        Slot = Slot->Subs[0];
         ++Rewrites;
       }
       return;
@@ -123,11 +129,10 @@ private:
       // identity in every engine (atomic values are self-describing),
       // so the runtime check disappears entirely — the paper's
       // "eliminate many first-order checks" in miniature.
-      Node &Body = *Slot->Subs[0];
-      if (isLiteral(Body) && Slot->Ty->isDyn() && Body.Ty->isAtomic()) {
-        NodePtr Inner = std::move(Slot->Subs[0]);
-        Inner->Ty = Slot->Ty;
-        Slot = std::move(Inner);
+      Node *Body = Slot->Subs[0];
+      if (isLiteral(*Body) && Slot->Ty->isDyn() && Body->Ty->isAtomic()) {
+        Body->Ty = Slot->Ty;
+        Slot = Body;
         ++Rewrites;
       }
       return;
@@ -137,16 +142,16 @@ private:
     }
   }
 
-  void foldPrim(NodePtr &Slot) {
+  void foldPrim(Node *&Slot) {
     const Node &N = *Slot;
     auto AllInts = [&] {
-      for (const NodePtr &Sub : N.Subs)
+      for (const Node *Sub : N.Subs)
         if (Sub->Kind != NodeKind::LitInt)
           return false;
       return true;
     };
     auto AllFloats = [&] {
-      for (const NodePtr &Sub : N.Subs)
+      for (const Node *Sub : N.Subs)
         if (Sub->Kind != NodeKind::LitFloat)
           return false;
       return true;
@@ -163,7 +168,7 @@ private:
       int64_t Value = N.Prim == PrimOp::AddI   ? I(0) + I(1)
                       : N.Prim == PrimOp::SubI ? I(0) - I(1)
                                                : I(0) * I(1);
-      Slot = makeLitInt(Types, Value, N.Loc);
+      Slot = makeLitInt(Value, N.Loc);
       ++Rewrites;
       return;
     }
@@ -172,9 +177,8 @@ private:
       // Folding would hide the runtime division-by-zero trap; only fold
       // provably safe divisors.
       if (AllInts() && I(1) != 0) {
-        Slot = makeLitInt(
-            Types, N.Prim == PrimOp::DivI ? I(0) / I(1) : I(0) % I(1),
-            N.Loc);
+        Slot = makeLitInt(N.Prim == PrimOp::DivI ? I(0) / I(1) : I(0) % I(1),
+                          N.Loc);
         ++Rewrites;
       }
       return;
@@ -190,7 +194,7 @@ private:
                    : N.Prim == PrimOp::EqI ? I(0) == I(1)
                    : N.Prim == PrimOp::GeI ? I(0) >= I(1)
                                            : I(0) > I(1);
-      Slot = makeLitBool(Types, Value, N.Loc);
+      Slot = makeLitBool(Value, N.Loc);
       ++Rewrites;
       return;
     }
@@ -202,19 +206,19 @@ private:
       double Value = N.Prim == PrimOp::AddF   ? Fl(0) + Fl(1)
                      : N.Prim == PrimOp::SubF ? Fl(0) - Fl(1)
                                               : Fl(0) * Fl(1);
-      Slot = makeLitFloat(Types, Value, N.Loc);
+      Slot = makeLitFloat(Value, N.Loc);
       ++Rewrites;
       return;
     }
     case PrimOp::Not:
       if (N.Subs[0]->Kind == NodeKind::LitBool) {
-        Slot = makeLitBool(Types, !N.Subs[0]->BoolVal, N.Loc);
+        Slot = makeLitBool(!N.Subs[0]->BoolVal, N.Loc);
         ++Rewrites;
       }
       return;
     case PrimOp::IntToFloat:
       if (N.Subs[0]->Kind == NodeKind::LitInt) {
-        Slot = makeLitFloat(Types, static_cast<double>(N.Subs[0]->IntVal),
+        Slot = makeLitFloat(static_cast<double>(N.Subs[0]->IntVal),
                             N.Loc);
         ++Rewrites;
       }
@@ -228,5 +232,5 @@ private:
 } // namespace
 
 unsigned grift::optimizeCore(TypeContext &Types, CoreProgram &Prog) {
-  return Optimizer(Types).run(Prog);
+  return Optimizer(Types, Prog).run();
 }

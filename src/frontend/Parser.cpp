@@ -12,29 +12,57 @@ namespace {
 
 class Parser {
 public:
-  Parser(TypeContext &Ctx, DiagnosticEngine &Diags) : Ctx(Ctx), Diags(Diags) {}
+  Parser(TypeContext &Ctx, DiagnosticEngine &Diags, Program &Prog)
+      : Ctx(Ctx), Diags(Diags), Prog(Prog), A(Prog.arena()) {}
 
-  std::optional<Program> parseProgram(const SexpArena &Data) {
-    Program Prog;
+  bool parseProgram(const SexpArena &Data) {
+    Prog.Defines.reserve(Data.size());
     for (const Sexp &Datum : Data) {
       if (Datum.isList() && Datum.size() >= 1 && Datum[0].is(Keyword::Define)) {
         std::optional<Define> D = parseDefine(Datum);
         if (!D)
-          return std::nullopt;
-        Prog.Defines.push_back(std::move(*D));
+          return false;
+        Prog.Defines.push_back(*D);
         continue;
       }
       Define Stmt;
       Stmt.Body = parse(Datum);
       if (!Stmt.Body)
-        return std::nullopt;
+        return false;
       Stmt.Loc = Datum.loc();
-      Prog.Defines.push_back(std::move(Stmt));
+      Prog.Defines.push_back(Stmt);
     }
-    return Prog;
+    return true;
   }
 
-  ExprPtr parse(const Sexp &Datum) {
+private:
+  TypeContext &Ctx;
+  DiagnosticEngine &Diags;
+  Program &Prog;
+  /// The arena of Prog, which every node, list and name goes to.
+  Arena &A;
+  /// Scratch stacks the lists under construction gather on; a finished
+  /// list is copied into the arena and popped, so nested lists share
+  /// them and no list allocates on the heap.
+  std::vector<Expr *> SubScratch;
+  std::vector<Param> ParamScratch;
+  std::vector<Binding> BindingScratch;
+
+  /// Copies Scratch[Mark...] into the arena and pops it.
+  template <typename T>
+  std::span<T> finish(std::vector<T> &Scratch, size_t Mark) {
+    std::span<T> List = A.copy<T>(std::span(Scratch).subspan(Mark));
+    Scratch.resize(Mark);
+    return List;
+  }
+
+  Expr *makeNode(ExprKind Kind, std::span<Expr *const> Subs, SourceLoc Loc) {
+    Expr *E = makeExpr(A, Kind, Loc);
+    E->SubExprs = A.copy<Expr *>(Subs);
+    return E;
+  }
+
+  Expr *parse(const Sexp &Datum) {
     switch (Datum.kind()) {
     case Sexp::Kind::Int:
       // Fixnums are 48-bit payloads under NaN-boxing; reject literals the
@@ -44,35 +72,37 @@ public:
         return error(Datum.loc(),
                      "integer literal " + std::to_string(Datum.intValue()) +
                          " is outside the fixnum range [-2^47, 2^47)");
-      return makeLitInt(Datum.intValue(), Datum.loc());
+      return makeLitInt(A, Datum.intValue(), Datum.loc());
     case Sexp::Kind::Float:
-      return makeLitFloat(Datum.floatValue(), Datum.loc());
+      return makeLitFloat(A, Datum.floatValue(), Datum.loc());
     case Sexp::Kind::Bool:
-      return makeLitBool(Datum.boolValue(), Datum.loc());
-    case Sexp::Kind::Char:
-      return makeLitChar(Datum.charValue(), Datum.loc());
+      return makeLitBool(A, Datum.boolValue(), Datum.loc());
+    case Sexp::Kind::Char: {
+      Expr *E = makeExpr(A, ExprKind::LitChar, Datum.loc());
+      E->CharVal = Datum.charValue();
+      return E;
+    }
     case Sexp::Kind::String:
       return error(Datum.loc(), "string literals are not GTLC+ expressions");
     case Sexp::Kind::Symbol: {
-      std::string Name(Datum.symbol());
       if (Datum.symbolClass() == Sexp::Class::Keyword ||
-          Datum.symbolClass() == Sexp::Class::Prim)
+          Datum.symbolClass() == Sexp::Class::Prim) {
+        std::string Name(Datum.symbol());
         return error(Datum.loc(), "'" + Name + "' used as a variable");
-      return makeVar(std::move(Name), Datum.loc());
+      }
+      Expr *E = makeExpr(A, ExprKind::Var, Datum.loc());
+      E->Name = A.copy(Datum.symbol());
+      return E;
     }
     case Sexp::Kind::List:
       if (Datum.isEmptyList())
-        return makeLitUnit(Datum.loc());
+        return makeLitUnit(A, Datum.loc());
       return parseForm(Datum);
     }
     return nullptr;
   }
 
-private:
-  TypeContext &Ctx;
-  DiagnosticEngine &Diags;
-
-  ExprPtr error(SourceLoc Loc, std::string Message) {
+  Expr *error(SourceLoc Loc, std::string Message) {
     Diags.error(Loc, std::move(Message));
     return nullptr;
   }
@@ -103,8 +133,8 @@ private:
 
   /// Parses `(: T)? E` at List[I...] into \p Annot and the returned E;
   /// \p Extra is the error when more follows E.
-  ExprPtr parseAnnotated(const Sexp &List, size_t I, const Type *&Annot,
-                         const char *Extra) {
+  Expr *parseAnnotated(const Sexp &List, size_t I, const Type *&Annot,
+                       const char *Extra) {
     bool Bad = false;
     Annot = parseOptionalAnnot(List, I, Bad);
     if (Bad)
@@ -118,7 +148,7 @@ private:
     if (Datum.isSymbol()) {
       if (Datum.symbolClass() == Sexp::Class::Keyword)
         Diags.error(Datum.loc(), "keyword used as parameter name");
-      return Param{Datum.str(), nullptr, Datum.loc()};
+      return Param{A.copy(Datum.symbol()), nullptr, Datum.loc()};
     }
     // [x : T]
     if (Datum.isList() && Datum.size() == 3 && Datum[0].isSymbol() &&
@@ -126,7 +156,7 @@ private:
       const Type *T = parseTypeAt(Datum[2]);
       if (!T)
         return std::nullopt;
-      return Param{Datum[0].str(), T, Datum.loc()};
+      return Param{A.copy(Datum[0].symbol()), T, Datum.loc()};
     }
     Diags.error(Datum.loc(), "malformed parameter, expected x or [x : T]");
     return std::nullopt;
@@ -134,7 +164,7 @@ private:
 
   /// Parses a body sequence starting at \p Start; wraps multiple
   /// expressions in an implicit begin.
-  ExprPtr parseBody(const Sexp &List, size_t Start) {
+  Expr *parseBody(const Sexp &List, size_t Start) {
     if (Start >= List.size())
       return error(List.loc(), "empty body");
     if (Start + 1 == List.size())
@@ -143,23 +173,21 @@ private:
   }
 
   /// Parses List[Start...] as the sub-expressions of a \p Kind node.
-  ExprPtr parseNode(const Sexp &List, size_t Start, ExprKind Kind) {
-    std::vector<ExprPtr> Subs;
-    Subs.reserve(List.size() - Start);
-    for (size_t I = Start; I != List.size(); ++I)
-      if (!Subs.emplace_back(parse(List[I])))
+  Expr *parseNode(const Sexp &List, size_t Start, ExprKind Kind) {
+    size_t Mark = SubScratch.size();
+    for (size_t I = Start; I != List.size(); ++I) {
+      Expr *Sub = parse(List[I]);
+      if (!Sub)
         return nullptr;
-    return makeNode(Kind, std::move(Subs), List.loc());
+      SubScratch.push_back(Sub);
+    }
+    Expr *E = makeExpr(A, Kind, List.loc());
+    E->SubExprs = finish(SubScratch, Mark);
+    return E;
   }
 
-  static ExprPtr makeIf(ExprPtr Cond, ExprPtr Then, ExprPtr Else,
-                        SourceLoc Loc) {
-    std::vector<ExprPtr> Subs;
-    Subs.reserve(3);
-    Subs.push_back(std::move(Cond));
-    Subs.push_back(std::move(Then));
-    Subs.push_back(std::move(Else));
-    return makeNode(ExprKind::If, std::move(Subs), Loc);
+  Expr *makeIf(Expr *Cond, Expr *Then, Expr *Else, SourceLoc Loc) {
+    return makeNode(ExprKind::If, {{Cond, Then, Else}}, Loc);
   }
 
   std::optional<Define> parseDefine(const Sexp &Datum) {
@@ -171,7 +199,7 @@ private:
     Define D;
     D.Loc = Datum.loc();
     if (Datum[1].isSymbol()) {
-      D.Name = Datum[1].symbol();
+      D.Name = A.copy(Datum[1].symbol());
       D.Body = parseAnnotated(Datum, 2, D.Annot,
                               "define takes exactly one body expression");
       if (!D.Body)
@@ -184,14 +212,14 @@ private:
     }
     // Function form: desugar to a lambda.
     const Sexp &Header = Datum[1];
-    D.Name = Header[0].symbol();
+    D.Name = A.copy(Header[0].symbol());
     D.Body = parseLambdaRest(Datum, Header, 1);
     if (!D.Body)
       return std::nullopt;
     return D;
   }
 
-  ExprPtr parseForm(const Sexp &Datum) {
+  Expr *parseForm(const Sexp &Datum) {
     const Sexp &Head = Datum[0];
     if (Head.symbolClass() == Sexp::Class::Prim)
       return parsePrim(Datum, PrimOp(Head.id()));
@@ -250,30 +278,30 @@ private:
     return parseApp(Datum);
   }
 
-  ExprPtr parseApp(const Sexp &Datum) {
+  Expr *parseApp(const Sexp &Datum) {
     return parseNode(Datum, 0, ExprKind::App);
   }
 
-  ExprPtr parsePrim(const Sexp &Datum, PrimOp Op) {
+  Expr *parsePrim(const Sexp &Datum, PrimOp Op) {
     unsigned Arity = primArity(Op);
     if (Datum.size() != Arity + 1)
       return error(Datum.loc(), std::string(primName(Op)) + " expects " +
                                     std::to_string(Arity) + " arguments, got " +
                                     std::to_string(Datum.size() - 1));
-    ExprPtr Node = parseNode(Datum, 1, ExprKind::PrimApp);
+    Expr *Node = parseNode(Datum, 1, ExprKind::PrimApp);
     if (Node)
       Node->Prim = Op;
     return Node;
   }
 
-  ExprPtr parseNary(const Sexp &Datum, ExprKind Kind, size_t Arity) {
+  Expr *parseNary(const Sexp &Datum, ExprKind Kind, size_t Arity) {
     if (Datum.size() != Arity + 1)
       return error(Datum.loc(), "form expects " + std::to_string(Arity) +
                                     " sub-expressions");
     return parseNode(Datum, 1, Kind);
   }
 
-  ExprPtr parseLambda(const Sexp &Datum) {
+  Expr *parseLambda(const Sexp &Datum) {
     if (Datum.size() < 3 || !Datum[1].isList())
       return error(Datum.loc(), "malformed lambda");
     return parseLambdaRest(Datum, Datum[1], 0);
@@ -281,191 +309,179 @@ private:
 
   /// A lambda with the parameters Params[First...] and the optional
   /// return annotation and body that follow Datum[1].
-  ExprPtr parseLambdaRest(const Sexp &Datum, const Sexp &Params,
-                          size_t First) {
-    auto Lambda = std::make_unique<Expr>();
-    Lambda->Kind = ExprKind::Lambda;
-    Lambda->Loc = Datum.loc();
-    Lambda->Params.reserve(Params.size() - First);
+  Expr *parseLambdaRest(const Sexp &Datum, const Sexp &Params,
+                        size_t First) {
+    Expr *Lambda = makeExpr(A, ExprKind::Lambda, Datum.loc());
+    size_t Mark = ParamScratch.size();
     for (size_t I = First; I != Params.size(); ++I) {
       std::optional<Param> Parsed = parseParam(Params[I]);
       if (!Parsed)
         return nullptr;
-      Lambda->Params.push_back(std::move(*Parsed));
+      ParamScratch.push_back(*Parsed);
     }
+    Lambda->Params = finish(ParamScratch, Mark);
     size_t I = 2;
     bool Bad = false;
     Lambda->ReturnAnnot = parseOptionalAnnot(Datum, I, Bad);
     if (Bad)
       return nullptr;
-    ExprPtr Body = parseBody(Datum, I);
+    Expr *Body = parseBody(Datum, I);
     if (!Body)
       return nullptr;
-    Lambda->SubExprs.push_back(std::move(Body));
+    Lambda->SubExprs = A.copy<Expr *>({{Body}});
     return Lambda;
   }
 
-  ExprPtr parseLet(const Sexp &Datum, bool IsRec) {
+  Expr *parseLet(const Sexp &Datum, bool IsRec) {
     if (Datum.size() < 3 || !Datum[1].isList())
       return error(Datum.loc(), "malformed let");
-    auto Node = std::make_unique<Expr>();
-    Node->Kind = IsRec ? ExprKind::Letrec : ExprKind::Let;
-    Node->Loc = Datum.loc();
-    Node->Bindings.reserve(Datum[1].size());
+    Expr *Node =
+        makeExpr(A, IsRec ? ExprKind::Letrec : ExprKind::Let, Datum.loc());
+    size_t Mark = BindingScratch.size();
     for (const Sexp &BindDatum : Datum[1]) {
       if (!BindDatum.isList() || BindDatum.size() < 2 ||
           !BindDatum[0].isSymbol())
         return error(BindDatum.loc(), "malformed binding, expected [x (: T)? E]");
       Binding B;
-      B.Name = BindDatum[0].symbol();
+      B.Name = A.copy(BindDatum[0].symbol());
       B.Loc = BindDatum.loc();
       B.Init = parseAnnotated(BindDatum, 1, B.Annot,
                               "binding takes exactly one initializer");
       if (!B.Init)
         return nullptr;
-      Node->Bindings.push_back(std::move(B));
+      BindingScratch.push_back(B);
     }
-    ExprPtr Body = parseBody(Datum, 2);
+    Node->Bindings = finish(BindingScratch, Mark);
+    Expr *Body = parseBody(Datum, 2);
     if (!Body)
       return nullptr;
-    Node->SubExprs.push_back(std::move(Body));
+    Node->SubExprs = A.copy<Expr *>({{Body}});
     return Node;
   }
 
-  ExprPtr parseBegin(const Sexp &Datum) {
+  Expr *parseBegin(const Sexp &Datum) {
     if (Datum.size() < 2)
       return error(Datum.loc(), "begin needs at least one expression");
     return parseNode(Datum, 1, ExprKind::Begin);
   }
 
-  ExprPtr parseRepeat(const Sexp &Datum) {
+  Expr *parseRepeat(const Sexp &Datum) {
     // (repeat (x lo hi) [(acc (: T)? init)] body)
     if (Datum.size() < 3 || Datum.size() > 4 || !Datum[1].isList() ||
         Datum[1].size() != 3 || !Datum[1][0].isSymbol())
       return error(Datum.loc(), "malformed repeat, expected "
                                 "(repeat (x lo hi) [(acc init)] body)");
-    auto Node = std::make_unique<Expr>();
-    Node->Kind = ExprKind::Repeat;
-    Node->Loc = Datum.loc();
-    Node->Name = Datum[1][0].symbol();
-    ExprPtr Lo = parse(Datum[1][1]);
-    ExprPtr Hi = parse(Datum[1][2]);
-    if (!Lo || !Hi)
+    Expr *Node = makeExpr(A, ExprKind::Repeat, Datum.loc());
+    Node->Name = A.copy(Datum[1][0].symbol());
+    // Sub = [lo, hi, (accInit)?, body]
+    Expr *Subs[4];
+    Subs[0] = parse(Datum[1][1]);
+    Subs[1] = parse(Datum[1][2]);
+    if (!Subs[0] || !Subs[1])
       return nullptr;
-    Node->SubExprs.push_back(std::move(Lo));
-    Node->SubExprs.push_back(std::move(Hi));
     size_t BodyIndex = 2;
     if (Datum.size() == 4) {
       const Sexp &AccDatum = Datum[2];
       if (!AccDatum.isList() || AccDatum.size() < 2 || !AccDatum[0].isSymbol())
         return error(AccDatum.loc(), "malformed repeat accumulator");
       Node->HasAcc = true;
-      Node->AccName = AccDatum[0].symbol();
-      ExprPtr Init = parseAnnotated(AccDatum, 1, Node->AccAnnot,
-                                    "repeat accumulator takes one initializer");
-      if (!Init)
+      Node->AccName = A.copy(AccDatum[0].symbol());
+      Subs[2] = parseAnnotated(AccDatum, 1, Node->AccAnnot,
+                               "repeat accumulator takes one initializer");
+      if (!Subs[2])
         return nullptr;
-      Node->SubExprs.push_back(std::move(Init));
       BodyIndex = 3;
     }
-    ExprPtr Body = parse(Datum[BodyIndex]);
-    if (!Body)
+    Subs[BodyIndex] = parse(Datum[BodyIndex]);
+    if (!Subs[BodyIndex])
       return nullptr;
-    Node->SubExprs.push_back(std::move(Body));
+    Node->SubExprs = A.copy<Expr *>(std::span(Subs, BodyIndex + 1));
     return Node;
   }
 
-  ExprPtr parseTuple(const Sexp &Datum) {
+  Expr *parseTuple(const Sexp &Datum) {
     if (Datum.size() < 2)
       return error(Datum.loc(), "tuple needs at least one element");
     return parseNode(Datum, 1, ExprKind::Tuple);
   }
 
-  ExprPtr parseTupleProj(const Sexp &Datum) {
+  Expr *parseTupleProj(const Sexp &Datum) {
     if (Datum.size() != 3 || Datum[2].kind() != Sexp::Kind::Int)
       return error(Datum.loc(), "expected (tuple-proj E i) with literal index");
-    ExprPtr Target = parse(Datum[1]);
+    Expr *Target = parse(Datum[1]);
     if (!Target)
       return nullptr;
     int64_t Index = Datum[2].intValue();
     if (Index < 0)
       return error(Datum.loc(), "tuple index must be non-negative");
-    std::vector<ExprPtr> Subs;
-    Subs.push_back(std::move(Target));
-    ExprPtr Node = makeNode(ExprKind::TupleProj, std::move(Subs), Datum.loc());
+    Expr *Node = makeNode(ExprKind::TupleProj, {{Target}}, Datum.loc());
     Node->Index = static_cast<uint32_t>(Index);
     return Node;
   }
 
-  ExprPtr parseAnn(const Sexp &Datum) {
+  Expr *parseAnn(const Sexp &Datum) {
     if (Datum.size() != 3)
       return error(Datum.loc(), "expected (ann E T)");
-    ExprPtr Body = parse(Datum[1]);
+    Expr *Body = parse(Datum[1]);
     if (!Body)
       return nullptr;
     const Type *T = parseTypeAt(Datum[2]);
     if (!T)
       return nullptr;
-    std::vector<ExprPtr> Subs;
-    Subs.push_back(std::move(Body));
-    ExprPtr Node = makeNode(ExprKind::Ascribe, std::move(Subs), Datum.loc());
+    Expr *Node = makeNode(ExprKind::Ascribe, {{Body}}, Datum.loc());
     Node->Annot = T;
     return Node;
   }
 
   /// (and a b ...) => (if a (and b ...) #f); (or a b ...) dually.
-  ExprPtr parseAndOr(const Sexp &Datum, bool IsAnd) {
+  Expr *parseAndOr(const Sexp &Datum, bool IsAnd) {
     if (Datum.size() < 3)
       return error(Datum.loc(), "and/or need at least two operands");
     return buildAndOr(Datum, 1, IsAnd);
   }
 
-  ExprPtr buildAndOr(const Sexp &Datum, size_t Index, bool IsAnd) {
-    ExprPtr First = parse(Datum[Index]);
+  Expr *buildAndOr(const Sexp &Datum, size_t Index, bool IsAnd) {
+    Expr *First = parse(Datum[Index]);
     if (!First)
       return nullptr;
     if (Index + 1 == Datum.size())
       return First;
-    ExprPtr Rest = buildAndOr(Datum, Index + 1, IsAnd);
+    Expr *Rest = buildAndOr(Datum, Index + 1, IsAnd);
     if (!Rest)
       return nullptr;
-    ExprPtr Short = makeLitBool(!IsAnd, Datum.loc());
+    Expr *Short = makeLitBool(A, !IsAnd, Datum.loc());
     if (IsAnd)
-      return makeIf(std::move(First), std::move(Rest), std::move(Short),
-                    Datum.loc());
-    return makeIf(std::move(First), std::move(Short), std::move(Rest),
-                  Datum.loc());
+      return makeIf(First, Rest, Short, Datum.loc());
+    return makeIf(First, Short, Rest, Datum.loc());
   }
 
   /// (when c e...) => (if c (begin e...) ()); unless negates.
-  ExprPtr parseWhen(const Sexp &Datum, bool Negate) {
+  Expr *parseWhen(const Sexp &Datum, bool Negate) {
     if (Datum.size() < 3)
       return error(Datum.loc(), "when/unless need a condition and a body");
-    ExprPtr Cond = parse(Datum[1]);
+    Expr *Cond = parse(Datum[1]);
     if (!Cond)
       return nullptr;
-    ExprPtr Body = parseBody(Datum, 2);
+    Expr *Body = parseBody(Datum, 2);
     if (!Body)
       return nullptr;
-    ExprPtr Unit = makeLitUnit(Datum.loc());
+    Expr *Unit = makeLitUnit(A, Datum.loc());
     if (Negate)
-      return makeIf(std::move(Cond), std::move(Unit), std::move(Body),
-                    Datum.loc());
-    return makeIf(std::move(Cond), std::move(Body), std::move(Unit),
-                  Datum.loc());
+      return makeIf(Cond, Unit, Body, Datum.loc());
+    return makeIf(Cond, Body, Unit, Datum.loc());
   }
 
   /// (cond [c e...] ... [else e...]) => nested ifs; a missing else arm
   /// defaults to ().
-  ExprPtr parseCond(const Sexp &Datum) {
+  Expr *parseCond(const Sexp &Datum) {
     if (Datum.size() < 2)
       return error(Datum.loc(), "cond needs at least one clause");
     return buildCond(Datum, 1);
   }
 
-  ExprPtr buildCond(const Sexp &Datum, size_t Index) {
+  Expr *buildCond(const Sexp &Datum, size_t Index) {
     if (Index == Datum.size())
-      return makeLitUnit(Datum.loc());
+      return makeLitUnit(A, Datum.loc());
     const Sexp &Clause = Datum[Index];
     if (!Clause.isList() || Clause.size() < 2)
       return error(Clause.loc(), "malformed cond clause");
@@ -474,17 +490,16 @@ private:
         return error(Clause.loc(), "else must be the last cond clause");
       return parseBody(Clause, 1);
     }
-    ExprPtr Cond = parse(Clause[0]);
+    Expr *Cond = parse(Clause[0]);
     if (!Cond)
       return nullptr;
-    ExprPtr Then = parseBody(Clause, 1);
+    Expr *Then = parseBody(Clause, 1);
     if (!Then)
       return nullptr;
-    ExprPtr Else = buildCond(Datum, Index + 1);
+    Expr *Else = buildCond(Datum, Index + 1);
     if (!Else)
       return nullptr;
-    return makeIf(std::move(Cond), std::move(Then), std::move(Else),
-                  Clause.loc());
+    return makeIf(Cond, Then, Else, Clause.loc());
   }
 };
 
@@ -496,17 +511,8 @@ std::optional<Program> grift::parseProgram(TypeContext &Ctx,
   SexpArena Data = readSexps(Source, Diags);
   if (Diags.hasErrors())
     return std::nullopt;
-  return Parser(Ctx, Diags).parseProgram(Data);
-}
-
-ExprPtr grift::parseExpr(TypeContext &Ctx, std::string_view Source,
-                         DiagnosticEngine &Diags) {
-  SexpArena Data = readSexps(Source, Diags);
-  if (Diags.hasErrors())
-    return nullptr;
-  if (Data.size() != 1) {
-    Diags.error(SourceLoc(), "expected exactly one expression");
-    return nullptr;
-  }
-  return Parser(Ctx, Diags).parse(Data[0]);
+  Program Prog;
+  if (!Parser(Ctx, Diags, Prog).parseProgram(Data))
+    return std::nullopt;
+  return Prog;
 }

@@ -23,10 +23,6 @@ namespace grift {
 std::optional<Program> parseProgram(TypeContext &Ctx, std::string_view Source,
                                     DiagnosticEngine &Diags);
 
-/// Parses a single expression from source text (REPL, tests).
-ExprPtr parseExpr(TypeContext &Ctx, std::string_view Source,
-                  DiagnosticEngine &Diags);
-
 } // namespace grift
 
 #endif // GRIFT_FRONTEND_PARSER_H

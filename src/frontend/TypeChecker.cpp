@@ -3,6 +3,7 @@
 #include "types/TypeOps.h"
 
 #include <cassert>
+#include <initializer_list>
 #include <unordered_map>
 
 using namespace grift;
@@ -13,13 +14,13 @@ namespace {
 class TypeChecker {
 public:
   TypeChecker(TypeContext &Ctx, DiagnosticEngine &Diags)
-      : Ctx(Ctx), Diags(Diags) {}
+      : Ctx(Ctx), Diags(Diags), A(Out.arena()) {}
 
   std::optional<CoreProgram> run(const Program &Prog) {
     declareGlobals(Prog);
     if (Diags.hasErrors())
       return std::nullopt;
-    CoreProgram Out;
+    Out.Defs.reserve(Prog.Defines.size());
     for (const Define &D : Prog.Defines) {
       Def CoreDef;
       if (D.Name.empty()) {
@@ -27,7 +28,7 @@ public:
         if (!CoreDef.Body)
           return std::nullopt;
         CoreDef.Ty = CoreDef.Body->Ty;
-        Out.Defs.push_back(std::move(CoreDef));
+        Out.Defs.push_back(CoreDef);
         continue;
       }
       Global &G = Globals.find(D.Name)->second;
@@ -36,7 +37,7 @@ public:
       // declared type so recursive calls and the body agree without an
       // extra wrapper cast; an explicitly annotated define keeps the cast
       // (that cast is the interesting one, cf. sort! in paper Figure 3).
-      NodePtr Body;
+      Node *Body;
       if (D.Body->Kind == ExprKind::Lambda && !D.Annot && Declared)
         Body = checkLambda(*D.Body, Declared);
       else
@@ -44,7 +45,7 @@ public:
       if (!Body)
         return std::nullopt;
       if (Declared) {
-        Body = coerceTo(std::move(Body), Declared, D.Loc);
+        Body = coerceTo(Body, Declared, D.Loc);
         if (!Body)
           return std::nullopt;
       } else {
@@ -53,25 +54,34 @@ public:
       }
       CoreDef.Global = G.Index;
       CoreDef.Ty = Declared;
-      CoreDef.Body = std::move(Body);
-      Out.Defs.push_back(std::move(CoreDef));
+      CoreDef.Body = Body;
+      Out.Defs.push_back(CoreDef);
     }
     if (Diags.hasErrors())
       return std::nullopt;
-    Out.Names = std::move(Names);
-    return Out;
+    return std::move(Out);
   }
 
 private:
   TypeContext &Ctx;
   DiagnosticEngine &Diags;
+  /// The program being built; every node and child list goes to its
+  /// arena A.
+  CoreProgram Out;
+  Arena &A;
+  /// The scratch stacks variable-length child lists (and their types)
+  /// gather on; each list is copied into the arena once it is complete
+  /// and popped, so nested lists share the stacks.
+  std::vector<Node *> SubScratch;
+  std::vector<const Type *> TypeScratch;
   /// A top-level define: its declared type (null until a value define
   /// without annotation is reached) and its global index.
   struct Global {
     const Type *Ty = nullptr;
     int32_t Index = 0;
   };
-  std::unordered_map<std::string, Global> Globals;
+  /// Keyed by views of the AST's names, which outlive the check.
+  std::unordered_map<std::string_view, Global> Globals;
   /// A local binding; the view names an AST string.
   struct Local {
     std::string_view Name;
@@ -80,7 +90,6 @@ private:
   };
   /// Local bindings, innermost last.
   std::vector<Local> Locals;
-  NameTable Names;
 
   //===--------------------------------------------------------------------===//
   // Environment
@@ -97,9 +106,9 @@ private:
 
   /// Binds \p Name to a fresh binder id and returns the id. The binders
   /// of one form get consecutive ids.
-  uint32_t bind(const std::string &Name, const Type *T) {
-    auto Id = static_cast<uint32_t>(Names.Binders.size());
-    Names.Binders.push_back(Name);
+  uint32_t bind(std::string_view Name, const Type *T) {
+    auto Id = static_cast<uint32_t>(Out.Names.Binders.size());
+    Out.Names.Binders.emplace_back(Name);
     Locals.push_back({Name, T, Id});
     return Id;
   }
@@ -117,13 +126,14 @@ private:
     for (const Define &D : Prog.Defines) {
       if (D.Name.empty())
         continue;
-      auto [It, Fresh] = Globals.try_emplace(
-          D.Name, Global{nullptr, static_cast<int32_t>(Names.Globals.size())});
+      auto Index = static_cast<int32_t>(Out.Names.Globals.size());
+      auto [It, Fresh] = Globals.try_emplace(D.Name, Global{nullptr, Index});
       if (!Fresh) {
-        Diags.error(D.Loc, "duplicate definition of '" + D.Name + "'");
+        Diags.error(D.Loc,
+                    "duplicate definition of '" + std::string(D.Name) + "'");
         continue;
       }
-      Names.Globals.push_back(D.Name);
+      Out.Names.Globals.emplace_back(D.Name);
       if (D.Annot)
         It->second.Ty = D.Annot;
       else if (D.Body->Kind == ExprKind::Lambda)
@@ -147,17 +157,28 @@ private:
   // Node construction
   //===--------------------------------------------------------------------===//
 
-  NodePtr make(NodeKind Kind, const Type *Ty, SourceLoc Loc) {
-    auto N = std::make_unique<Node>();
+  /// A node with the children \p Subs.
+  Node *make(NodeKind Kind, const Type *Ty, SourceLoc Loc,
+             std::initializer_list<Node *> Subs = {}) {
+    Node *N = A.make<Node>();
     N->Kind = Kind;
     N->Ty = Ty;
     N->Loc = Loc;
+    N->Subs = A.copy<Node *>(Subs);
     return N;
+  }
+
+  /// Copies SubScratch[Mark...] into the arena and pops it.
+  std::span<Node *> finish(size_t Mark) {
+    std::span<Node *> Subs =
+        A.copy<Node *>(std::span(SubScratch).subspan(Mark));
+    SubScratch.resize(Mark);
+    return Subs;
   }
 
   /// Inserts a cast from \p N's type to \p Target when needed. Reports a
   /// static error when the types are inconsistent.
-  NodePtr coerceTo(NodePtr N, const Type *Target, SourceLoc Loc) {
+  Node *coerceTo(Node *N, const Type *Target, SourceLoc Loc) {
     if (!N)
       return nullptr;
     if (N->Ty == Target)
@@ -166,13 +187,12 @@ private:
       Diags.error(Loc, "cannot cast " + N->Ty->str() + " to " + Target->str());
       return nullptr;
     }
-    NodePtr CastNode = make(NodeKind::Cast, Target, Loc);
+    Node *CastNode = make(NodeKind::Cast, Target, Loc, {N});
     CastNode->SrcTy = N->Ty;
-    CastNode->Subs.push_back(std::move(N));
     return CastNode;
   }
 
-  NodePtr error(SourceLoc Loc, std::string Message) {
+  Node *error(SourceLoc Loc, std::string Message) {
     Diags.error(Loc, std::move(Message));
     return nullptr;
   }
@@ -181,27 +201,27 @@ private:
   // Checking
   //===--------------------------------------------------------------------===//
 
-  NodePtr check(const Expr &E) {
+  Node *check(const Expr &E) {
     switch (E.Kind) {
     case ExprKind::LitUnit:
       return make(NodeKind::LitUnit, Ctx.unit(), E.Loc);
     case ExprKind::LitBool: {
-      NodePtr N = make(NodeKind::LitBool, Ctx.boolean(), E.Loc);
+      Node *N = make(NodeKind::LitBool, Ctx.boolean(), E.Loc);
       N->BoolVal = E.BoolVal;
       return N;
     }
     case ExprKind::LitInt: {
-      NodePtr N = make(NodeKind::LitInt, Ctx.integer(), E.Loc);
+      Node *N = make(NodeKind::LitInt, Ctx.integer(), E.Loc);
       N->IntVal = E.IntVal;
       return N;
     }
     case ExprKind::LitFloat: {
-      NodePtr N = make(NodeKind::LitFloat, Ctx.floating(), E.Loc);
+      Node *N = make(NodeKind::LitFloat, Ctx.floating(), E.Loc);
       N->FloatVal = E.FloatVal;
       return N;
     }
     case ExprKind::LitChar: {
-      NodePtr N = make(NodeKind::LitChar, Ctx.character(), E.Loc);
+      Node *N = make(NodeKind::LitChar, Ctx.character(), E.Loc);
       N->CharVal = E.CharVal;
       return N;
     }
@@ -224,24 +244,20 @@ private:
     case ExprKind::Repeat:
       return checkRepeat(E);
     case ExprKind::Time: {
-      NodePtr Body = check(*E.SubExprs[0]);
+      Node *Body = check(*E.SubExprs[0]);
       if (!Body)
         return nullptr;
-      NodePtr N = make(NodeKind::Time, Body->Ty, E.Loc);
-      N->Subs.push_back(std::move(Body));
-      return N;
+      return make(NodeKind::Time, Body->Ty, E.Loc, {Body});
     }
     case ExprKind::Tuple:
       return checkTuple(E);
     case ExprKind::TupleProj:
       return checkTupleProj(E);
     case ExprKind::BoxE: {
-      NodePtr Init = check(*E.SubExprs[0]);
+      Node *Init = check(*E.SubExprs[0]);
       if (!Init)
         return nullptr;
-      NodePtr N = make(NodeKind::BoxAlloc, Ctx.box(Init->Ty), E.Loc);
-      N->Subs.push_back(std::move(Init));
-      return N;
+      return make(NodeKind::BoxAlloc, Ctx.box(Init->Ty), E.Loc, {Init});
     }
     case ExprKind::Unbox:
       return checkUnbox(E);
@@ -255,70 +271,60 @@ private:
       return checkVectSet(E);
     case ExprKind::VectLen:
       return checkVectLen(E);
-    case ExprKind::Ascribe: {
-      NodePtr Body = check(*E.SubExprs[0]);
-      if (!Body)
-        return nullptr;
-      return coerceTo(std::move(Body), E.Annot, E.Loc);
-    }
+    case ExprKind::Ascribe:
+      return coerceTo(check(*E.SubExprs[0]), E.Annot, E.Loc);
     }
     return nullptr;
   }
 
-  NodePtr checkVar(const Expr &E) {
+  Node *checkVar(const Expr &E) {
     if (const Local *L = lookupLocal(E.Name)) {
-      NodePtr N = make(NodeKind::LocalRef, L->Ty, E.Loc);
+      Node *N = make(NodeKind::LocalRef, L->Ty, E.Loc);
       N->Id = L->Id;
       return N;
     }
     auto It = Globals.find(E.Name);
     if (It != Globals.end() && It->second.Ty) {
-      NodePtr N = make(NodeKind::GlobalRef, It->second.Ty, E.Loc);
+      Node *N = make(NodeKind::GlobalRef, It->second.Ty, E.Loc);
       N->Id = static_cast<uint32_t>(It->second.Index);
       return N;
     }
-    return error(E.Loc, "undefined variable '" + E.Name + "'");
+    return error(E.Loc, "undefined variable '" + std::string(E.Name) + "'");
   }
 
-  NodePtr checkIf(const Expr &E) {
-    NodePtr Cond = check(*E.SubExprs[0]);
+  Node *checkIf(const Expr &E) {
+    Node *Cond = coerceTo(check(*E.SubExprs[0]), Ctx.boolean(),
+                          E.SubExprs[0]->Loc);
     if (!Cond)
       return nullptr;
-    Cond = coerceTo(std::move(Cond), Ctx.boolean(), E.SubExprs[0]->Loc);
-    if (!Cond)
-      return nullptr;
-    NodePtr Then = check(*E.SubExprs[1]);
-    NodePtr Else = check(*E.SubExprs[2]);
+    Node *Then = check(*E.SubExprs[1]);
+    Node *Else = check(*E.SubExprs[2]);
     if (!Then || !Else)
       return nullptr;
     const Type *Joined = meet(Ctx, Then->Ty, Else->Ty);
     if (!Joined)
       return error(E.Loc, "if branches have inconsistent types " +
                               Then->Ty->str() + " and " + Else->Ty->str());
-    Then = coerceTo(std::move(Then), Joined, E.SubExprs[1]->Loc);
-    Else = coerceTo(std::move(Else), Joined, E.SubExprs[2]->Loc);
+    Then = coerceTo(Then, Joined, E.SubExprs[1]->Loc);
+    Else = coerceTo(Else, Joined, E.SubExprs[2]->Loc);
     if (!Then || !Else)
       return nullptr;
-    NodePtr N = make(NodeKind::If, Joined, E.Loc);
-    N->Subs.push_back(std::move(Cond));
-    N->Subs.push_back(std::move(Then));
-    N->Subs.push_back(std::move(Else));
-    return N;
+    return make(NodeKind::If, Joined, E.Loc, {Cond, Then, Else});
   }
 
   /// Checks a lambda. When \p Committed is a function type, the lambda is
   /// being checked against a recursive declaration: parameters take the
   /// committed types and the body is cast to the committed return type.
-  NodePtr checkLambda(const Expr &E, const Type *Committed) {
+  Node *checkLambda(const Expr &E, const Type *Committed) {
     std::vector<const Type *> ParamTypes;
     for (const Param &P : E.Params)
       ParamTypes.push_back(P.Annot ? P.Annot : Ctx.dyn());
 
     ScopeGuard Guard(*this);
-    auto FirstParam = static_cast<uint32_t>(Names.Binders.size());
+    auto FirstParam = static_cast<uint32_t>(Out.Names.Binders.size());
     for (size_t I = 0; I != E.Params.size(); ++I)
       bind(E.Params[I].Name, ParamTypes[I]);
-    NodePtr Body = check(*E.SubExprs[0]);
+    Node *Body = check(*E.SubExprs[0]);
     if (!Body)
       return nullptr;
     const Type *Ret;
@@ -328,36 +334,35 @@ private:
       Ret = Committed->result();
     else
       Ret = Body->Ty;
-    Body = coerceTo(std::move(Body), Ret, E.Loc);
+    Body = coerceTo(Body, Ret, E.Loc);
     if (!Body)
       return nullptr;
     const Type *FnTy = Ctx.function(std::move(ParamTypes), Ret);
-    NodePtr N = make(NodeKind::Lambda, FnTy, E.Loc);
+    Node *N = make(NodeKind::Lambda, FnTy, E.Loc, {Body});
     N->Id = FirstParam;
-    N->Subs.push_back(std::move(Body));
     return N;
   }
 
-  NodePtr checkApp(const Expr &E) {
-    NodePtr Callee = check(*E.SubExprs[0]);
+  Node *checkApp(const Expr &E) {
+    Node *Callee = check(*E.SubExprs[0]);
     if (!Callee)
       return nullptr;
     size_t NumArgs = E.SubExprs.size() - 1;
+    size_t Mark = SubScratch.size();
 
     if (Callee->Ty->isDyn()) {
       // The Section 3 optimization: apply a Dyn value directly, checking
       // and converting at the call site without allocating a proxy.
-      NodePtr N = make(NodeKind::AppDyn, Ctx.dyn(), E.Loc);
-      N->Subs.push_back(std::move(Callee));
+      SubScratch.push_back(Callee);
       for (size_t I = 1; I != E.SubExprs.size(); ++I) {
-        NodePtr Arg = check(*E.SubExprs[I]);
+        Node *Arg = coerceTo(check(*E.SubExprs[I]), Ctx.dyn(),
+                             E.SubExprs[I]->Loc);
         if (!Arg)
           return nullptr;
-        Arg = coerceTo(std::move(Arg), Ctx.dyn(), E.SubExprs[I]->Loc);
-        if (!Arg)
-          return nullptr;
-        N->Subs.push_back(std::move(Arg));
+        SubScratch.push_back(Arg);
       }
+      Node *N = make(NodeKind::AppDyn, Ctx.dyn(), E.Loc);
+      N->Subs = finish(Mark);
       return N;
     }
 
@@ -368,71 +373,69 @@ private:
       return error(E.Loc, "arity mismatch: function expects " +
                               std::to_string(Callee->Ty->arity()) +
                               " arguments, got " + std::to_string(NumArgs));
-    NodePtr N = make(NodeKind::App, Callee->Ty->result(), E.Loc);
     const Type *FnTy = Callee->Ty;
-    N->Subs.push_back(std::move(Callee));
+    SubScratch.push_back(Callee);
     for (size_t I = 0; I != NumArgs; ++I) {
-      NodePtr Arg = check(*E.SubExprs[I + 1]);
+      Node *Arg = coerceTo(check(*E.SubExprs[I + 1]), FnTy->param(I),
+                           E.SubExprs[I + 1]->Loc);
       if (!Arg)
         return nullptr;
-      Arg = coerceTo(std::move(Arg), FnTy->param(I), E.SubExprs[I + 1]->Loc);
-      if (!Arg)
-        return nullptr;
-      N->Subs.push_back(std::move(Arg));
+      SubScratch.push_back(Arg);
     }
+    Node *N = make(NodeKind::App, FnTy->result(), E.Loc);
+    N->Subs = finish(Mark);
     return N;
   }
 
-  NodePtr checkPrimApp(const Expr &E) {
-    std::vector<const Type *> Params = primParams(Ctx, E.Prim);
-    assert(Params.size() == E.SubExprs.size() && "parser enforced arity");
-    NodePtr N = make(NodeKind::PrimApp, primResult(Ctx, E.Prim), E.Loc);
-    N->Prim = E.Prim;
+  Node *checkPrimApp(const Expr &E) {
+    assert(primArity(E.Prim) == E.SubExprs.size() && "parser enforced arity");
+    size_t Mark = SubScratch.size();
     for (size_t I = 0; I != E.SubExprs.size(); ++I) {
-      NodePtr Arg = check(*E.SubExprs[I]);
+      Node *Arg = coerceTo(check(*E.SubExprs[I]), primParam(Ctx, E.Prim, I),
+                           E.SubExprs[I]->Loc);
       if (!Arg)
         return nullptr;
-      Arg = coerceTo(std::move(Arg), Params[I], E.SubExprs[I]->Loc);
-      if (!Arg)
-        return nullptr;
-      N->Subs.push_back(std::move(Arg));
+      SubScratch.push_back(Arg);
     }
+    Node *N = make(NodeKind::PrimApp, primResult(Ctx, E.Prim), E.Loc);
+    N->Prim = E.Prim;
+    N->Subs = finish(Mark);
     return N;
   }
 
-  NodePtr checkLet(const Expr &E) {
-    std::vector<NodePtr> Inits;
-    std::vector<const Type *> Types;
+  Node *checkLet(const Expr &E) {
+    size_t Mark = SubScratch.size();
+    size_t TypesMark = TypeScratch.size();
     for (const Binding &B : E.Bindings) {
-      NodePtr Init = check(*B.Init);
+      Node *Init = check(*B.Init);
       if (!Init)
         return nullptr;
       const Type *T = B.Annot ? B.Annot : Init->Ty;
-      Init = coerceTo(std::move(Init), T, B.Loc);
+      Init = coerceTo(Init, T, B.Loc);
       if (!Init)
         return nullptr;
-      Inits.push_back(std::move(Init));
-      Types.push_back(T);
+      SubScratch.push_back(Init);
+      TypeScratch.push_back(T);
     }
     ScopeGuard Guard(*this);
-    NodePtr N = make(NodeKind::Let, nullptr, E.Loc);
-    N->Id = static_cast<uint32_t>(Names.Binders.size());
-    for (size_t I = 0; I != E.Bindings.size(); ++I) {
-      bind(E.Bindings[I].Name, Types[I]);
-      N->Subs.push_back(std::move(Inits[I]));
-    }
-    NodePtr Body = check(*E.SubExprs[0]);
+    auto FirstBinder = static_cast<uint32_t>(Out.Names.Binders.size());
+    for (size_t I = 0; I != E.Bindings.size(); ++I)
+      bind(E.Bindings[I].Name, TypeScratch[TypesMark + I]);
+    TypeScratch.resize(TypesMark);
+    Node *Body = check(*E.SubExprs[0]);
     if (!Body)
       return nullptr;
-    N->Ty = Body->Ty;
-    N->Subs.push_back(std::move(Body));
+    SubScratch.push_back(Body);
+    Node *N = make(NodeKind::Let, Body->Ty, E.Loc);
+    N->Id = FirstBinder;
+    N->Subs = finish(Mark);
     return N;
   }
 
-  NodePtr checkLetrec(const Expr &E) {
+  Node *checkLetrec(const Expr &E) {
     ScopeGuard Guard(*this);
-    auto FirstBinder = static_cast<uint32_t>(Names.Binders.size());
-    std::vector<const Type *> Types;
+    auto FirstBinder = static_cast<uint32_t>(Out.Names.Binders.size());
+    size_t TypesMark = TypeScratch.size();
     for (const Binding &B : E.Bindings) {
       if (B.Init->Kind != ExprKind::Lambda) {
         return error(B.Loc, "letrec bindings must be lambda expressions");
@@ -445,273 +448,238 @@ private:
       if (!consistent(Ctx, Declared, lambdaDeclaredType(*B.Init)))
         return error(B.Loc, "letrec annotation is inconsistent with the "
                             "bound lambda");
-      Types.push_back(Declared);
+      TypeScratch.push_back(Declared);
       bind(B.Name, Declared);
     }
-    NodePtr N = make(NodeKind::Letrec, nullptr, E.Loc);
-    N->Id = FirstBinder;
+    size_t Mark = SubScratch.size();
     for (size_t I = 0; I != E.Bindings.size(); ++I) {
       const Binding &B = E.Bindings[I];
-      NodePtr Init =
-          checkLambda(*B.Init, B.Annot ? nullptr : Types[I]);
+      const Type *Declared = TypeScratch[TypesMark + I];
+      Node *Init = coerceTo(
+          checkLambda(*B.Init, B.Annot ? nullptr : Declared), Declared, B.Loc);
       if (!Init)
         return nullptr;
-      Init = coerceTo(std::move(Init), Types[I], B.Loc);
-      if (!Init)
-        return nullptr;
-      N->Subs.push_back(std::move(Init));
+      SubScratch.push_back(Init);
     }
-    NodePtr Body = check(*E.SubExprs[0]);
+    TypeScratch.resize(TypesMark);
+    Node *Body = check(*E.SubExprs[0]);
     if (!Body)
       return nullptr;
-    N->Ty = Body->Ty;
-    N->Subs.push_back(std::move(Body));
+    SubScratch.push_back(Body);
+    Node *N = make(NodeKind::Letrec, Body->Ty, E.Loc);
+    N->Id = FirstBinder;
+    N->Subs = finish(Mark);
     return N;
   }
 
-  NodePtr checkBegin(const Expr &E) {
-    NodePtr N = make(NodeKind::Begin, nullptr, E.Loc);
-    for (const ExprPtr &Sub : E.SubExprs) {
-      NodePtr Checked = check(*Sub);
+  Node *checkBegin(const Expr &E) {
+    size_t Mark = SubScratch.size();
+    for (const Expr *Sub : E.SubExprs) {
+      Node *Checked = check(*Sub);
       if (!Checked)
         return nullptr;
-      N->Subs.push_back(std::move(Checked));
+      SubScratch.push_back(Checked);
     }
-    N->Ty = N->Subs.back()->Ty;
+    Node *N = make(NodeKind::Begin, SubScratch.back()->Ty, E.Loc);
+    N->Subs = finish(Mark);
     return N;
   }
 
-  NodePtr checkRepeat(const Expr &E) {
-    NodePtr Lo = check(*E.SubExprs[0]);
-    NodePtr Hi = check(*E.SubExprs[1]);
-    if (!Lo || !Hi)
+  Node *checkRepeat(const Expr &E) {
+    // Sub = [lo, hi, (accInit)?, body]
+    Node *Subs[4];
+    Subs[0] = check(*E.SubExprs[0]);
+    Subs[1] = check(*E.SubExprs[1]);
+    if (!Subs[0] || !Subs[1])
       return nullptr;
-    Lo = coerceTo(std::move(Lo), Ctx.integer(), E.SubExprs[0]->Loc);
-    Hi = coerceTo(std::move(Hi), Ctx.integer(), E.SubExprs[1]->Loc);
-    if (!Lo || !Hi)
+    Subs[0] = coerceTo(Subs[0], Ctx.integer(), E.SubExprs[0]->Loc);
+    Subs[1] = coerceTo(Subs[1], Ctx.integer(), E.SubExprs[1]->Loc);
+    if (!Subs[0] || !Subs[1])
       return nullptr;
-
-    NodePtr N = make(NodeKind::Repeat, nullptr, E.Loc);
-    N->HasAcc = E.HasAcc;
-    N->Subs.push_back(std::move(Lo));
-    N->Subs.push_back(std::move(Hi));
 
     const Type *AccTy = Ctx.unit();
     size_t BodyIndex = 2;
     if (E.HasAcc) {
-      NodePtr AccInit = check(*E.SubExprs[2]);
+      Node *AccInit = check(*E.SubExprs[2]);
       if (!AccInit)
         return nullptr;
       AccTy = E.AccAnnot ? E.AccAnnot : AccInit->Ty;
-      AccInit = coerceTo(std::move(AccInit), AccTy, E.SubExprs[2]->Loc);
-      if (!AccInit)
+      Subs[2] = coerceTo(AccInit, AccTy, E.SubExprs[2]->Loc);
+      if (!Subs[2])
         return nullptr;
-      N->Subs.push_back(std::move(AccInit));
       BodyIndex = 3;
     }
 
     ScopeGuard Guard(*this);
-    N->Id = bind(E.Name, Ctx.integer());
+    uint32_t IndexBinder = bind(E.Name, Ctx.integer());
     if (E.HasAcc)
       bind(E.AccName, AccTy);
-    NodePtr Body = check(*E.SubExprs[BodyIndex]);
+    Node *Body = check(*E.SubExprs[BodyIndex]);
     if (!Body)
       return nullptr;
     if (E.HasAcc) {
-      Body = coerceTo(std::move(Body), AccTy, E.SubExprs[BodyIndex]->Loc);
+      Body = coerceTo(Body, AccTy, E.SubExprs[BodyIndex]->Loc);
       if (!Body)
         return nullptr;
     }
-    N->Ty = AccTy;
-    N->Subs.push_back(std::move(Body));
+    Subs[BodyIndex] = Body;
+    Node *N = make(NodeKind::Repeat, AccTy, E.Loc);
+    N->HasAcc = E.HasAcc;
+    N->Id = IndexBinder;
+    N->Subs = A.copy<Node *>(std::span(Subs, BodyIndex + 1));
     return N;
   }
 
-  NodePtr checkTuple(const Expr &E) {
-    NodePtr N = make(NodeKind::Tuple, nullptr, E.Loc);
+  Node *checkTuple(const Expr &E) {
+    size_t Mark = SubScratch.size();
     std::vector<const Type *> Types;
-    for (const ExprPtr &Sub : E.SubExprs) {
-      NodePtr Checked = check(*Sub);
+    Types.reserve(E.SubExprs.size());
+    for (const Expr *Sub : E.SubExprs) {
+      Node *Checked = check(*Sub);
       if (!Checked)
         return nullptr;
       Types.push_back(Checked->Ty);
-      N->Subs.push_back(std::move(Checked));
+      SubScratch.push_back(Checked);
     }
-    N->Ty = Ctx.tuple(std::move(Types));
+    Node *N = make(NodeKind::Tuple, Ctx.tuple(std::move(Types)), E.Loc);
+    N->Subs = finish(Mark);
     return N;
   }
 
-  NodePtr checkTupleProj(const Expr &E) {
-    NodePtr Target = check(*E.SubExprs[0]);
+  Node *checkTupleProj(const Expr &E) {
+    Node *Target = check(*E.SubExprs[0]);
     if (!Target)
       return nullptr;
     if (Target->Ty->isDyn()) {
-      NodePtr N = make(NodeKind::TupleProjDyn, Ctx.dyn(), E.Loc);
+      Node *N = make(NodeKind::TupleProjDyn, Ctx.dyn(), E.Loc, {Target});
       N->Index = E.Index;
-      N->Subs.push_back(std::move(Target));
       return N;
     }
     if (!Target->Ty->isTuple()) {
       // A recursive type may hide a tuple one unfolding away.
       if (Target->Ty->isRec()) {
-        const Type *Unfolded = Ctx.unfold(Target->Ty);
-        Target = coerceTo(std::move(Target), Unfolded, E.Loc);
+        Target = coerceTo(Target, Ctx.unfold(Target->Ty), E.Loc);
         if (!Target)
           return nullptr;
         if (Target->Ty->isTuple())
-          return finishTupleProj(std::move(Target), E);
+          return finishTupleProj(Target, E);
       }
       return error(E.Loc, "tuple-proj of non-tuple type");
     }
-    return finishTupleProj(std::move(Target), E);
+    return finishTupleProj(Target, E);
   }
 
-  NodePtr finishTupleProj(NodePtr Target, const Expr &E) {
+  Node *finishTupleProj(Node *Target, const Expr &E) {
     if (E.Index >= Target->Ty->tupleSize())
       return error(E.Loc, "tuple index " + std::to_string(E.Index) +
                               " out of bounds for " + Target->Ty->str());
-    NodePtr N =
-        make(NodeKind::TupleProj, Target->Ty->element(E.Index), E.Loc);
+    Node *N = make(NodeKind::TupleProj, Target->Ty->element(E.Index), E.Loc,
+                   {Target});
     N->Index = E.Index;
-    N->Subs.push_back(std::move(Target));
     return N;
   }
 
   /// Coerces a Rec-typed node one unfolding when the unfolded type has the
   /// wanted shape; used by the elimination forms.
-  NodePtr maybeUnfold(NodePtr N, SourceLoc Loc) {
+  Node *maybeUnfold(Node *N, SourceLoc Loc) {
     if (N && N->Ty->isRec())
-      return coerceTo(std::move(N), Ctx.unfold(N->Ty), Loc);
+      return coerceTo(N, Ctx.unfold(N->Ty), Loc);
     return N;
   }
 
-  NodePtr checkUnbox(const Expr &E) {
-    NodePtr Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
+  Node *checkUnbox(const Expr &E) {
+    Node *Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
     if (!Target)
       return nullptr;
-    if (Target->Ty->isDyn()) {
-      NodePtr N = make(NodeKind::UnboxDyn, Ctx.dyn(), E.Loc);
-      N->Subs.push_back(std::move(Target));
-      return N;
-    }
+    if (Target->Ty->isDyn())
+      return make(NodeKind::UnboxDyn, Ctx.dyn(), E.Loc, {Target});
     if (!Target->Ty->isBox())
       return error(E.Loc, "unbox of non-box type " + Target->Ty->str());
-    NodePtr N = make(NodeKind::Unbox, Target->Ty->inner(), E.Loc);
-    N->Subs.push_back(std::move(Target));
-    return N;
+    return make(NodeKind::Unbox, Target->Ty->inner(), E.Loc, {Target});
   }
 
-  NodePtr checkBoxSet(const Expr &E) {
-    NodePtr Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
-    NodePtr Value = check(*E.SubExprs[1]);
+  Node *checkBoxSet(const Expr &E) {
+    Node *Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
+    Node *Value = check(*E.SubExprs[1]);
     if (!Target || !Value)
       return nullptr;
     if (Target->Ty->isDyn()) {
-      Value = coerceTo(std::move(Value), Ctx.dyn(), E.SubExprs[1]->Loc);
+      Value = coerceTo(Value, Ctx.dyn(), E.SubExprs[1]->Loc);
       if (!Value)
         return nullptr;
-      NodePtr N = make(NodeKind::BoxSetDyn, Ctx.unit(), E.Loc);
-      N->Subs.push_back(std::move(Target));
-      N->Subs.push_back(std::move(Value));
-      return N;
+      return make(NodeKind::BoxSetDyn, Ctx.unit(), E.Loc, {Target, Value});
     }
     if (!Target->Ty->isBox())
       return error(E.Loc, "box-set! of non-box type " + Target->Ty->str());
-    Value = coerceTo(std::move(Value), Target->Ty->inner(),
-                     E.SubExprs[1]->Loc);
+    Value = coerceTo(Value, Target->Ty->inner(), E.SubExprs[1]->Loc);
     if (!Value)
       return nullptr;
-    NodePtr N = make(NodeKind::BoxSet, Ctx.unit(), E.Loc);
-    N->Subs.push_back(std::move(Target));
-    N->Subs.push_back(std::move(Value));
-    return N;
+    return make(NodeKind::BoxSet, Ctx.unit(), E.Loc, {Target, Value});
   }
 
-  NodePtr checkMakeVect(const Expr &E) {
-    NodePtr Size = check(*E.SubExprs[0]);
-    NodePtr Init = check(*E.SubExprs[1]);
+  Node *checkMakeVect(const Expr &E) {
+    Node *Size = check(*E.SubExprs[0]);
+    Node *Init = check(*E.SubExprs[1]);
     if (!Size || !Init)
       return nullptr;
-    Size = coerceTo(std::move(Size), Ctx.integer(), E.SubExprs[0]->Loc);
+    Size = coerceTo(Size, Ctx.integer(), E.SubExprs[0]->Loc);
     if (!Size)
       return nullptr;
-    NodePtr N = make(NodeKind::MakeVect, Ctx.vect(Init->Ty), E.Loc);
-    N->Subs.push_back(std::move(Size));
-    N->Subs.push_back(std::move(Init));
-    return N;
+    return make(NodeKind::MakeVect, Ctx.vect(Init->Ty), E.Loc, {Size, Init});
   }
 
-  NodePtr checkVectRef(const Expr &E) {
-    NodePtr Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
-    NodePtr Index = check(*E.SubExprs[1]);
+  Node *checkVectRef(const Expr &E) {
+    Node *Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
+    Node *Index = check(*E.SubExprs[1]);
     if (!Target || !Index)
       return nullptr;
-    Index = coerceTo(std::move(Index), Ctx.integer(), E.SubExprs[1]->Loc);
+    Index = coerceTo(Index, Ctx.integer(), E.SubExprs[1]->Loc);
     if (!Index)
       return nullptr;
-    if (Target->Ty->isDyn()) {
-      NodePtr N = make(NodeKind::VectRefDyn, Ctx.dyn(), E.Loc);
-      N->Subs.push_back(std::move(Target));
-      N->Subs.push_back(std::move(Index));
-      return N;
-    }
+    if (Target->Ty->isDyn())
+      return make(NodeKind::VectRefDyn, Ctx.dyn(), E.Loc, {Target, Index});
     if (!Target->Ty->isVect())
       return error(E.Loc, "vector-ref of non-vector type " +
                               Target->Ty->str());
-    NodePtr N = make(NodeKind::VectRef, Target->Ty->inner(), E.Loc);
-    N->Subs.push_back(std::move(Target));
-    N->Subs.push_back(std::move(Index));
-    return N;
+    return make(NodeKind::VectRef, Target->Ty->inner(), E.Loc,
+                {Target, Index});
   }
 
-  NodePtr checkVectSet(const Expr &E) {
-    NodePtr Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
-    NodePtr Index = check(*E.SubExprs[1]);
-    NodePtr Value = check(*E.SubExprs[2]);
+  Node *checkVectSet(const Expr &E) {
+    Node *Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
+    Node *Index = check(*E.SubExprs[1]);
+    Node *Value = check(*E.SubExprs[2]);
     if (!Target || !Index || !Value)
       return nullptr;
-    Index = coerceTo(std::move(Index), Ctx.integer(), E.SubExprs[1]->Loc);
+    Index = coerceTo(Index, Ctx.integer(), E.SubExprs[1]->Loc);
     if (!Index)
       return nullptr;
     if (Target->Ty->isDyn()) {
-      Value = coerceTo(std::move(Value), Ctx.dyn(), E.SubExprs[2]->Loc);
+      Value = coerceTo(Value, Ctx.dyn(), E.SubExprs[2]->Loc);
       if (!Value)
         return nullptr;
-      NodePtr N = make(NodeKind::VectSetDyn, Ctx.unit(), E.Loc);
-      N->Subs.push_back(std::move(Target));
-      N->Subs.push_back(std::move(Index));
-      N->Subs.push_back(std::move(Value));
-      return N;
+      return make(NodeKind::VectSetDyn, Ctx.unit(), E.Loc,
+                  {Target, Index, Value});
     }
     if (!Target->Ty->isVect())
       return error(E.Loc, "vector-set! of non-vector type " +
                               Target->Ty->str());
-    Value = coerceTo(std::move(Value), Target->Ty->inner(),
-                     E.SubExprs[2]->Loc);
+    Value = coerceTo(Value, Target->Ty->inner(), E.SubExprs[2]->Loc);
     if (!Value)
       return nullptr;
-    NodePtr N = make(NodeKind::VectSet, Ctx.unit(), E.Loc);
-    N->Subs.push_back(std::move(Target));
-    N->Subs.push_back(std::move(Index));
-    N->Subs.push_back(std::move(Value));
-    return N;
+    return make(NodeKind::VectSet, Ctx.unit(), E.Loc, {Target, Index, Value});
   }
 
-  NodePtr checkVectLen(const Expr &E) {
-    NodePtr Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
+  Node *checkVectLen(const Expr &E) {
+    Node *Target = maybeUnfold(check(*E.SubExprs[0]), E.Loc);
     if (!Target)
       return nullptr;
-    if (Target->Ty->isDyn()) {
-      NodePtr N = make(NodeKind::VectLenDyn, Ctx.integer(), E.Loc);
-      N->Subs.push_back(std::move(Target));
-      return N;
-    }
+    if (Target->Ty->isDyn())
+      return make(NodeKind::VectLenDyn, Ctx.integer(), E.Loc, {Target});
     if (!Target->Ty->isVect())
       return error(E.Loc, "vector-length of non-vector type " +
                               Target->Ty->str());
-    NodePtr N = make(NodeKind::VectLen, Ctx.integer(), E.Loc);
-    N->Subs.push_back(std::move(Target));
-    return N;
+    return make(NodeKind::VectLen, Ctx.integer(), E.Loc, {Target});
   }
 };
 

@@ -163,10 +163,9 @@ Expr *findAscribeAt(Expr &E, const std::string &Site) {
   if (E.Kind == ExprKind::Ascribe && E.Loc.str() == Site)
     return &E;
   for (Binding &B : E.Bindings)
-    if (B.Init)
-      if (Expr *Found = findAscribeAt(*B.Init, Site))
-        return Found;
-  for (ExprPtr &Sub : E.SubExprs)
+    if (Expr *Found = findAscribeAt(*B.Init, Site))
+      return Found;
+  for (Expr *Sub : E.SubExprs)
     if (Expr *Found = findAscribeAt(*Sub, Site))
       return Found;
   return nullptr;

@@ -13,79 +13,62 @@ namespace {
 /// Collects every mutable expression slot (define bodies, binding
 /// initializers, subexpressions) in pre-order, parents before children,
 /// so the greedy pass tries the biggest reductions first.
-void collectSlots(Expr &E, std::vector<ExprPtr *> &Slots) {
-  for (Binding &B : E.Bindings)
-    if (B.Init) {
-      Slots.push_back(&B.Init);
-      collectSlots(*B.Init, Slots);
-    }
-  for (ExprPtr &Sub : E.SubExprs) {
+void collectSlots(Expr &E, std::vector<Expr **> &Slots) {
+  for (Binding &B : E.Bindings) {
+    Slots.push_back(&B.Init);
+    collectSlots(*B.Init, Slots);
+  }
+  for (Expr *&Sub : E.SubExprs) {
     Slots.push_back(&Sub);
     collectSlots(*Sub, Slots);
   }
 }
 
-void collectSlots(Program &Prog, std::vector<ExprPtr *> &Slots) {
-  for (Define &D : Prog.Defines)
-    if (D.Body) {
-      Slots.push_back(&D.Body);
-      collectSlots(*D.Body, Slots);
-    }
+void collectSlots(Program &Prog, std::vector<Expr **> &Slots) {
+  for (Define &D : Prog.Defines) {
+    Slots.push_back(&D.Body);
+    collectSlots(*D.Body, Slots);
+  }
 }
 
-/// Children of the expression in slot \p Index of a fresh clone of
-/// \p Ast: SubExprs first, then binding initializers.
-size_t childCount(const Program &Ast, size_t Index) {
-  Program Clone = Ast.clone();
-  std::vector<ExprPtr *> Slots;
-  collectSlots(Clone, Slots);
+/// Children of the expression in slot \p Index of \p Ast: SubExprs
+/// first, then binding initializers.
+size_t childCount(Program &Ast, size_t Index) {
+  std::vector<Expr **> Slots;
+  collectSlots(Ast, Slots);
   const Expr &Node = **Slots[Index];
-  size_t Count = Node.SubExprs.size();
-  for (const Binding &B : Node.Bindings)
-    if (B.Init)
-      ++Count;
-  return Count;
+  return Node.SubExprs.size() + Node.Bindings.size();
 }
 
 /// Clones \p Ast and replaces slot \p Index with its \p Child-th child
 /// (hoisting it over the parent). Returns the rendered candidate.
 std::string hoistChild(const Program &Ast, size_t Index, size_t Child) {
   Program Clone = Ast.clone();
-  std::vector<ExprPtr *> Slots;
+  std::vector<Expr **> Slots;
   collectSlots(Clone, Slots);
-  Expr &Node = **Slots[Index];
-  ExprPtr Replacement;
-  if (Child < Node.SubExprs.size()) {
-    Replacement = std::move(Node.SubExprs[Child]);
-  } else {
-    size_t Want = Child - Node.SubExprs.size();
-    for (Binding &B : Node.Bindings)
-      if (B.Init && Want-- == 0) {
-        Replacement = std::move(B.Init);
-        break;
-      }
-  }
-  if (!Replacement)
-    return {};
-  *Slots[Index] = std::move(Replacement);
+  const Expr &Node = **Slots[Index];
+  *Slots[Index] = Child < Node.SubExprs.size()
+                      ? Node.SubExprs[Child]
+                      : Node.Bindings[Child - Node.SubExprs.size()].Init;
   return Clone.str();
 }
 
-/// Clones \p Ast and replaces slot \p Index with a scalar literal.
+/// Clones \p Ast and replaces slot \p Index with a scalar literal, taken
+/// from the clone's arena.
 std::string literalize(const Program &Ast, size_t Index, unsigned Which) {
   Program Clone = Ast.clone();
-  std::vector<ExprPtr *> Slots;
+  std::vector<Expr **> Slots;
   collectSlots(Clone, Slots);
   SourceLoc Loc = (*Slots[Index])->Loc;
   switch (Which) {
   case 0:
-    *Slots[Index] = makeLitInt(0, Loc);
+    *Slots[Index] = makeLitInt(Clone.arena(), 0, Loc);
     break;
   case 1:
-    *Slots[Index] = makeLitBool(true, Loc);
+    *Slots[Index] = makeLitBool(Clone.arena(), true, Loc);
     break;
   default:
-    *Slots[Index] = makeLitFloat(0.0, Loc);
+    *Slots[Index] = makeLitFloat(Clone.arena(), 0.0, Loc);
     break;
   }
   return Clone.str();
@@ -145,7 +128,7 @@ std::string grift::fuzz::shrinkSource(const std::string &Source,
     //    casts), then 3) collapse subtrees to literals.
     size_t NumSlots;
     {
-      std::vector<ExprPtr *> Slots;
+      std::vector<Expr **> Slots;
       collectSlots(*Ast, Slots);
       NumSlots = Slots.size();
     }

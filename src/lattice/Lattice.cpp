@@ -24,8 +24,7 @@ void forEachAnnot(Expr &E, const std::function<void(const Type *&)> &Visit) {
   for (Binding &B : E.Bindings) {
     if (B.Annot)
       Visit(B.Annot);
-    if (B.Init)
-      forEachAnnot(*B.Init, Visit);
+    forEachAnnot(*B.Init, Visit);
   }
   if (E.ReturnAnnot)
     Visit(E.ReturnAnnot);
@@ -33,7 +32,7 @@ void forEachAnnot(Expr &E, const std::function<void(const Type *&)> &Visit) {
     Visit(E.AccAnnot);
   if (E.Annot)
     Visit(E.Annot);
-  for (ExprPtr &Sub : E.SubExprs)
+  for (Expr *Sub : E.SubExprs)
     forEachAnnot(*Sub, Visit);
 }
 
@@ -102,7 +101,9 @@ bool isValueConstructor(ExprKind Kind) {
   }
 }
 
-void dynamizeExpr(ExprPtr &E, TypeContext &Ctx, bool WrapTop = true) {
+/// Erases the expression in slot \p E of a program whose arena is \p A;
+/// the Dyn ascriptions it adds come from that arena.
+void dynamizeExpr(Expr *&E, Arena &A, TypeContext &Ctx, bool WrapTop = true) {
   Expr &Node = *E;
   for (Param &P : Node.Params)
     P.Annot = Ctx.dyn();
@@ -111,7 +112,7 @@ void dynamizeExpr(ExprPtr &E, TypeContext &Ctx, bool WrapTop = true) {
     // letrec initializers must stay syntactic lambdas (no ascription
     // wrapper) and take their Dyn type from the lambda's parameters.
     B.Annot = IsLetrec ? nullptr : Ctx.dyn();
-    dynamizeExpr(B.Init, Ctx, /*WrapTop=*/!IsLetrec);
+    dynamizeExpr(B.Init, A, Ctx, /*WrapTop=*/!IsLetrec);
   }
   if (Node.Kind == ExprKind::Lambda)
     Node.ReturnAnnot = Ctx.dyn();
@@ -119,22 +120,20 @@ void dynamizeExpr(ExprPtr &E, TypeContext &Ctx, bool WrapTop = true) {
     Node.AccAnnot = Ctx.dyn();
   if (Node.Kind == ExprKind::Ascribe)
     Node.Annot = Ctx.dyn();
-  for (ExprPtr &Sub : Node.SubExprs)
-    dynamizeExpr(Sub, Ctx);
+  for (Expr *&Sub : Node.SubExprs)
+    dynamizeExpr(Sub, A, Ctx);
 
   if (WrapTop && isValueConstructor(Node.Kind)) {
-    auto Wrapper = std::make_unique<Expr>();
-    Wrapper->Kind = ExprKind::Ascribe;
-    Wrapper->Loc = Node.Loc;
+    Expr *Wrapper = makeExpr(A, ExprKind::Ascribe, Node.Loc);
     Wrapper->Annot = Ctx.dyn();
-    Wrapper->SubExprs.push_back(std::move(E));
-    E = std::move(Wrapper);
+    Wrapper->SubExprs = A.copy<Expr *>({{E}});
+    E = Wrapper;
   }
 }
 
-void dynamizeDefine(Define &D, TypeContext &Ctx) {
+void dynamizeDefine(Define &D, Arena &A, TypeContext &Ctx) {
   D.Annot = Ctx.dyn();
-  dynamizeExpr(D.Body, Ctx);
+  dynamizeExpr(D.Body, A, Ctx);
 }
 
 } // namespace
@@ -161,7 +160,7 @@ double grift::programPrecision(const Program &Prog) {
 Program grift::eraseTypes(const Program &Prog, TypeContext &Ctx) {
   Program Out = Prog.clone();
   for (Define &D : Out.Defines)
-    dynamizeDefine(D, Ctx);
+    dynamizeDefine(D, Out.arena(), Ctx);
   return Out;
 }
 
@@ -229,7 +228,7 @@ std::vector<Configuration> grift::coarseConfigs(const Program &Prog,
     C.Prog = Prog.clone();
     for (size_t I = 0; I != M; ++I)
       if (Mask & (UINT64_C(1) << I))
-        dynamizeDefine(C.Prog.Defines[Modules[I]], Ctx);
+        dynamizeDefine(C.Prog.Defines[Modules[I]], C.Prog.arena(), Ctx);
     C.Precision = programPrecision(C.Prog);
     return C;
   };

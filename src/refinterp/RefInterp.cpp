@@ -507,7 +507,7 @@ private:
     }
     case NodeKind::Begin: {
       RVal Last = mkUnit();
-      for (const NodePtr &Sub : N.Subs)
+      for (const Node *Sub : N.Subs)
         Last = eval(*Sub, E);
       return Last;
     }
@@ -534,7 +534,7 @@ private:
       return eval(*N.Subs[0], E); // no measurement in the ref semantics
     case NodeKind::Tuple: {
       RVal T = mk(RV::Kind::Tuple);
-      for (const NodePtr &Sub : N.Subs)
+      for (const Node *Sub : N.Subs)
         T->Elements.push_back(eval(*Sub, E));
       return T;
     }
@@ -662,7 +662,7 @@ private:
 
   RVal evalPrim(const Node &N, Env E) {
     std::vector<RVal> Args;
-    for (const NodePtr &Sub : N.Subs)
+    for (const Node *Sub : N.Subs)
       Args.push_back(eval(*Sub, E));
     auto AsI = [&](size_t I) { return Args[I]->I; };
     auto AsF = [&](size_t I) { return Args[I]->F; };

@@ -416,7 +416,7 @@ private:
       emitClosure(N);
       return;
     case NodeKind::App: {
-      for (const NodePtr &Sub : N.Subs)
+      for (const Node *Sub : N.Subs)
         compile(*Sub, false);
       emit(Tail ? Op::TailCall : Op::Call,
            static_cast<int32_t>(N.Subs.size() - 1));
@@ -425,14 +425,14 @@ private:
     case NodeKind::AppDyn: {
       if (Mode == CastMode::Static)
         fail("Dyn application in a static program");
-      for (const NodePtr &Sub : N.Subs)
+      for (const Node *Sub : N.Subs)
         compile(*Sub, false);
       emit(Op::AppDyn, static_cast<int32_t>(N.Subs.size() - 1),
            siteIndex(N.Loc));
       return;
     }
     case NodeKind::PrimApp: {
-      for (const NodePtr &Sub : N.Subs)
+      for (const Node *Sub : N.Subs)
         compile(*Sub, false);
       emit(Op::Prim, static_cast<int32_t>(N.Prim));
       return;
@@ -472,7 +472,7 @@ private:
       emit(Op::TimeEnd);
       return;
     case NodeKind::Tuple: {
-      for (const NodePtr &Sub : N.Subs)
+      for (const Node *Sub : N.Subs)
         compile(*Sub, false);
       emit(Op::MakeTuple, static_cast<int32_t>(N.Subs.size()));
       return;
@@ -612,7 +612,7 @@ private:
     if (N.Ty && N.Ty->hasDyn())
       fail("Static Grift requires a fully static program; expression at " +
            N.Loc.str() + " has type " + N.Ty->str());
-    for (const NodePtr &Sub : N.Subs)
+    for (const Node *Sub : N.Subs)
       checkStatic(*Sub);
   }
 

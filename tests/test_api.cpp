@@ -75,13 +75,14 @@ TEST(Api, InputIsPerRun) {
   EXPECT_EQ(Exe->run("1").ResultText, "2");
 }
 
-TEST(Api, ParseExprHelper) {
+TEST(Api, ParseProgramHelper) {
   TypeContext Types;
   DiagnosticEngine Diags;
-  ExprPtr E = parseExpr(Types, "(+ 1 2)", Diags);
-  ASSERT_NE(E, nullptr) << Diags.str();
-  EXPECT_EQ(E->Kind, ExprKind::PrimApp);
-  EXPECT_EQ(parseExpr(Types, "(+ 1", Diags), nullptr);
+  std::optional<Program> P = parseProgram(Types, "(+ 1 2)", Diags);
+  ASSERT_TRUE(P.has_value()) << Diags.str();
+  ASSERT_EQ(P->Defines.size(), 1u);
+  EXPECT_EQ(P->Defines[0].Body->Kind, ExprKind::PrimApp);
+  EXPECT_FALSE(parseProgram(Types, "(+ 1", Diags).has_value());
   EXPECT_TRUE(Diags.hasErrors());
 }
 

@@ -443,3 +443,89 @@ TEST_F(FrontendTest, ShadowingFollowsTheInnermostBinding) {
             Ctx.integer());
   checkFails("(let ([y (let ([x 1]) x)]) x)");
 }
+
+//===----------------------------------------------------------------------===//
+// Arena ownership
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const char *ArenaProgram =
+    "(define (add [x : Int] [y : Int]) : Int (+ x y))"
+    "(define v : (Vect Int) (make-vector 4 1))"
+    "(let ([k : Int 2] [f (lambda ([z : Int]) (add z 1))])"
+    "  (repeat (i 0 3) (acc : Int 0) (+ acc (f (vector-ref v i)))))";
+
+} // namespace
+
+TEST_F(FrontendTest, CloneOutlivesItsOriginal) {
+  std::string Text;
+  std::optional<Program> Copy;
+  {
+    Program P = parseOk(ArenaProgram);
+    Text = P.str();
+    Copy = P.clone();
+  }
+  EXPECT_EQ(Copy->str(), Text);
+  EXPECT_EQ(parseOk(Copy->str()).str(), Text);
+}
+
+TEST_F(FrontendTest, EditingACloneLeavesTheOriginal) {
+  Program P = parseOk(ArenaProgram);
+  std::string Text = P.str();
+  Program Copy = P.clone();
+  Expr &Add = *Copy.Defines[0].Body;
+  ASSERT_EQ(Add.Kind, ExprKind::Lambda);
+  for (Param &Arg : Add.Params)
+    Arg.Annot = Ctx.dyn();
+  Add.ReturnAnnot = nullptr;
+  Copy.Defines[1].Annot = Ctx.dyn();
+  Expr &Let = *Copy.Defines[2].Body;
+  Let.Bindings[0].Annot = Ctx.dyn();
+  Let.SubExprs[0] = Let.Bindings[0].Init;
+  EXPECT_NE(Copy.str(), Text);
+  EXPECT_EQ(P.str(), Text);
+}
+
+TEST_F(FrontendTest, MovingAProgramKeepsItsNodes) {
+  Program P = parseOk(ArenaProgram);
+  std::string Text = P.str();
+  const Expr *Body = P.Defines[2].Body;
+  const Expr *Init = Body->Bindings[1].Init;
+  const Param *Z = Init->Params.data();
+  std::vector<Program> Moved;
+  Moved.push_back(std::move(P));
+  for (int I = 0; I != 8; ++I) // reallocations move the Program again
+    Moved.push_back(parseOk("1"));
+  EXPECT_EQ(Moved[0].Defines[2].Body, Body);
+  EXPECT_EQ(Moved[0].Defines[2].Body->Bindings[1].Init, Init);
+  EXPECT_EQ(Moved[0].Defines[2].Body->Bindings[1].Init->Params.data(), Z);
+  EXPECT_EQ(Moved[0].str(), Text);
+}
+
+TEST_F(FrontendTest, MovingACoreProgramKeepsItsNodes) {
+  core::CoreProgram Core = checkOk(ArenaProgram);
+  std::string Text = Core.str();
+  const core::Node *Body = Core.Defs.back().Body;
+  const core::Node *First = Body->Subs[0];
+  std::vector<core::CoreProgram> Moved;
+  Moved.push_back(std::move(Core));
+  for (int I = 0; I != 8; ++I)
+    Moved.push_back(checkOk("1"));
+  EXPECT_EQ(Moved[0].Defs.back().Body, Body);
+  EXPECT_EQ(Moved[0].Defs.back().Body->Subs[0], First);
+  EXPECT_EQ(Moved[0].str(), Text);
+}
+
+TEST_F(FrontendTest, CoreProgramOutlivesItsAst) {
+  std::string Text;
+  std::optional<core::CoreProgram> Core;
+  {
+    Program P = parseOk(ArenaProgram);
+    DiagnosticEngine Diags;
+    Core = typeCheck(Ctx, P, Diags);
+    ASSERT_TRUE(Core.has_value()) << Diags.str();
+    Text = Core->str();
+  }
+  EXPECT_EQ(Core->str(), Text);
+}

@@ -111,6 +111,30 @@ TEST_F(LatticeTest, SampledConfigsTypeCheckAndAgree) {
   }
 }
 
+TEST_F(LatticeTest, ConfigurationsOutliveTheirSource) {
+  std::string Expected = runAst(parse(TypedProgram), CastMode::Coercions);
+  Program Erased;
+  std::vector<Configuration> Fine, Coarse;
+  {
+    Program Ast = parse(TypedProgram);
+    Erased = eraseTypes(Ast, G.types());
+    Fine = sampleFineGrained(Ast, G.types(), 4, 2, 7);
+    Coarse = coarseConfigs(Ast, G.types(), 8, 7);
+  }
+  // The source Program is gone: every configuration, including the Dyn
+  // ascriptions erasure and the coarse lattice added, lives in its own
+  // arena and still prints, parses back and runs.
+  EXPECT_EQ(parse(Erased.str().c_str()).str(), Erased.str());
+  EXPECT_EQ(runAst(Erased, CastMode::Coercions), Expected);
+  ASSERT_FALSE(Fine.empty());
+  ASSERT_FALSE(Coarse.empty());
+  for (const std::vector<Configuration> *Set : {&Fine, &Coarse})
+    for (const Configuration &C : *Set) {
+      EXPECT_EQ(parse(C.Prog.str().c_str()).str(), C.Prog.str());
+      EXPECT_EQ(runAst(C.Prog, CastMode::TypeBased), Expected);
+    }
+}
+
 TEST_F(LatticeTest, CoarseConfigsEnumerate) {
   Program Ast = parse(TypedProgram);
   // Three named defines -> 8 configurations.

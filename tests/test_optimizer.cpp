@@ -96,6 +96,24 @@ TEST_F(OptimizerTest, ReachesFixpoint) {
   EXPECT_EQ(optimizeCore(G.types(), Core), 0u); // idempotent at fixpoint
 }
 
+TEST_F(OptimizerTest, RewritesAMovedProgramInItsOwnArena) {
+  // Folds make new literals and the outer begin's flattened list is
+  // longer than its own, so both come from the program's arena.
+  const char *Source = "(begin (begin (print-int (+ 1 2)) (print-int 3))"
+                       "       (print-int (if (< 1 2) 4 5)))";
+  std::string Expected = optimizedStr(Source);
+  EXPECT_EQ(Expected, "(begin (print-int 3) (print-int 3) (print-int 4))\n");
+  std::vector<core::CoreProgram> Moved;
+  Moved.push_back(checked(Source));
+  for (int I = 0; I != 8; ++I) // reallocations move the program again
+    Moved.push_back(checked("1"));
+  while (optimizeCore(G.types(), Moved[0]) != 0) {
+  }
+  core::CoreProgram Last = std::move(Moved[0]);
+  Moved.clear();
+  EXPECT_EQ(Last.str(), Expected);
+}
+
 TEST_F(OptimizerTest, PreservesBenchmarkSemantics) {
   // Every benchmark, typed and erased, optimized vs. not: same output.
   for (const BenchProgram &B : allBenchmarks()) {

@@ -17,6 +17,7 @@
 #include "fuzz/FuzzGen.h"
 #include "grift/Grift.h"
 #include "service/ExecService.h"
+#include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
@@ -816,6 +817,40 @@ TEST(FileFaults, OneShotOneBasedCountersAdvanceDisarmed) {
 //===----------------------------------------------------------------------===//
 // validateImage directly (no filesystem)
 //===----------------------------------------------------------------------===//
+
+/// The bit-at-a-time CRC-32 the sliced one must agree with.
+static uint32_t bytewiseCRC32(const uint8_t *P, size_t Size) {
+  uint32_t C = 0xFFFFFFFFu;
+  for (size_t I = 0; I != Size; ++I) {
+    C ^= P[I];
+    for (int K = 0; K != 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return ~C;
+}
+
+TEST(StoreCRC, CheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(StoreCRC, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  RNG Gen(0xC0FFEE);
+  std::vector<uint8_t> Bytes(70 * 1024 + 7);
+  for (uint8_t &B : Bytes)
+    B = static_cast<uint8_t>(Gen.next());
+  for (size_t Offset = 0; Offset != 8; ++Offset)
+    for (size_t Length = 0; Length != 65; ++Length)
+      ASSERT_EQ(crc32(Bytes.data() + Offset, Length),
+                bytewiseCRC32(Bytes.data() + Offset, Length))
+          << "offset " << Offset << " length " << Length;
+  EXPECT_EQ(crc32(Bytes.data(), Bytes.size()),
+            bytewiseCRC32(Bytes.data(), Bytes.size()));
+  // A seeded call continues a CRC: both halves equal the whole.
+  EXPECT_EQ(crc32(Bytes.data() + 1000, Bytes.size() - 1000,
+                  crc32(Bytes.data(), 1000)),
+            crc32(Bytes.data(), Bytes.size()));
+}
 
 TEST(ValidateImage, AcceptsFreshRejectsTrailingGarbage) {
   Grift G;

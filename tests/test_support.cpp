@@ -1,9 +1,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the support module: diagnostics, string utilities, RNG.
+/// Unit tests for the support module: diagnostics, string utilities, RNG,
+/// the bump arena.
 ///
 //===----------------------------------------------------------------------===//
+#include "support/Arena.h"
 #include "support/Diagnostics.h"
 #include "support/RNG.h"
 #include "support/StringUtil.h"
@@ -11,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 using namespace grift;
 
@@ -169,4 +173,49 @@ TEST(RNG, BelowCoversValues) {
   for (int I = 0; I != 200; ++I)
     Seen[Gen.below(4)] = true;
   EXPECT_TRUE(Seen[0] && Seen[1] && Seen[2] && Seen[3]);
+}
+
+TEST(Arena, AlignsObjectsAndCopiesStrings) {
+  Arena A;
+  std::string Text = "a name that outlives its source";
+  std::string_view Copy = A.copy(Text);
+  Text.assign(Text.size(), '?');
+  EXPECT_EQ(Copy, "a name that outlives its source");
+  for (int I = 0; I != 100; ++I) {
+    A.copy(std::string_view("xyz", 1 + I % 3));
+    auto *D = A.make<double>(I);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(D) % alignof(double), 0u);
+    EXPECT_EQ(*D, I);
+  }
+  EXPECT_TRUE(A.copy(std::string_view()).empty());
+}
+
+TEST(Arena, CopiesArraysAndServesLargeRequests) {
+  Arena A;
+  std::vector<int> Small = {1, 2, 3};
+  std::span<int> Copy = A.copy<int>(Small);
+  Small[0] = 9;
+  EXPECT_EQ(Copy[0], 1);
+  EXPECT_EQ(Copy.size(), 3u);
+  EXPECT_TRUE(A.copy<int>(std::span<const int>()).empty());
+  // Larger than any block: gets a block of its own and stays usable.
+  std::vector<uint64_t> Big(100000, 7);
+  std::span<uint64_t> BigCopy = A.copy<uint64_t>(Big);
+  EXPECT_EQ(BigCopy.size(), Big.size());
+  EXPECT_EQ(BigCopy.back(), 7u);
+  EXPECT_EQ(Copy[2], 3);
+}
+
+TEST(Arena, MovingKeepsEveryObjectInPlace) {
+  Arena A;
+  std::vector<int *> Made;
+  for (int I = 0; I != 5000; ++I)
+    Made.push_back(A.make<int>(I));
+  Arena B = std::move(A);
+  Arena C;
+  C = std::move(B);
+  for (int I = 0; I != 5000; ++I)
+    EXPECT_EQ(*Made[I], I);
+  // The moved-from arena is empty and usable.
+  EXPECT_EQ(*A.make<int>(42), 42);
 }

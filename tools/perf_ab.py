@@ -2,7 +2,7 @@
 """Paired A/B runs of the repository benchmark (perfbench) for two revisions.
 
     python3 tools/perf_ab.py --base REV --head REV --workload lattice \\
-        --pairs 10 [--seconds 60] [--seeds 1-10] [--cores 1,2] \\
+        --pairs 10 [--seconds 60] [--seeds 1-10] [--cores 1,2] [--trace] \\
         [--expect-counter-change FIELD ...] [--workdir DIR]
 
 Each revision is checked out with `git worktree` under --workdir and built
@@ -19,8 +19,11 @@ interquartile range, for the host-scaled metrics and for their raw values
 (perfbench/README.md, "Host-speed normalisation"). It also prints
 host_ref_ms and the address of perfbench::referenceLoopMs of each side,
 and warns when the addresses differ: a moved reference loop can read
-slower by itself, and then only the raw figures count. Every run's output
-is kept under --workdir/runs.
+slower by itself, and then only the raw figures count. With --trace the
+same pairs run with `--trace 1`, and the table gives the compile layers
+instead (frontend.parse_ms, frontend.check_ms, vm.codegen_ms: per-cell
+geomeans, not host-scaled), so a compile-time change names the layer that
+moved. Every run's output is kept under --workdir/runs.
 """
 
 import argparse
@@ -47,6 +50,11 @@ ROW_KEY = ("program", "config", "precision", "mode", "input")
 # VM's dispatch loop tells a code change from a layout artefact.
 REFERENCE_LOOP = "perfbench::referenceLoopMs()"
 VM_EXECUTE = "grift::VM::execute()"
+# The per-layer metrics --trace reports: the compile pipeline's layers.
+# The self_ms.* totals are left out, because they sum over a run and grow
+# with the number of passes that fit in it.
+TRACE_METRICS = (("frontend.parse_ms", "lower"), ("frontend.check_ms", "lower"),
+                 ("vm.codegen_ms", "lower"))
 
 
 def log(msg):
@@ -123,13 +131,13 @@ class Side:
                    if re.match(r"\s+[0-9a-f]+:\s", line))
 
 
-def launch(side, core, workload, seed, seconds, out_path):
+def launch(side, core, workload, seed, seconds, trace, out_path):
     """Starts one benchmark run pinned to the core, with its standard
     output in out_path and its standard error in out_path.err."""
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
     cmd = ["taskset", "-c", str(core), sys.executable, "perfbench/run.py",
            "--workload", workload, "--seed", str(seed), "--seconds",
-           str(seconds), "--trace", "0"]
+           str(seconds), "--trace", "1" if trace else "0"]
     with open(out_path, "w") as out, open(out_path + ".err", "w") as err:
         return subprocess.Popen(cmd, cwd=side.tree, env=env, stdout=out,
                                 stderr=err)
@@ -230,6 +238,8 @@ def main():
                     "(default: 1 to --pairs)")
     ap.add_argument("--cores", default="1,2",
                     help="the two cores the sides are pinned to")
+    ap.add_argument("--trace", action="store_true",
+                    help="run with --trace 1 and report the compile layers")
     ap.add_argument("--expect-counter-change", nargs="+", default=[],
                     metavar="FIELD", choices=ROW_COUNTERS,
                     help="row counter fields the change may move")
@@ -256,16 +266,18 @@ def main():
 
     print(f"perf_ab: {args.workload}, {args.pairs} pairs of {args.seconds:g} s,"
           f" seeds {','.join(map(str, seeds))}, cores {cores[0]}/{cores[1]}"
-          " swapped every pair")
+          f" swapped every pair{', traced' if args.trace else ''}")
     for side in sides:
         print(f"  {side.name} {side.sha}")
     refused = False
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
         placed = sides if i % 2 == 0 else sides[::-1]
-        paths = [os.path.join(runs_dir, f"{args.workload}-pair{i + 1}-seed"
+        kind = args.workload + ("-trace" if args.trace else "")
+        paths = [os.path.join(runs_dir, f"{kind}-pair{i + 1}-seed"
                               f"{seed}-{side.name}.jsonl") for side in placed]
-        procs = [launch(side, core, args.workload, seed, args.seconds, path)
+        procs = [launch(side, core, args.workload, seed, args.seconds,
+                        args.trace, path)
                  for side, core, path in zip(placed, cores, paths)]
         for side, core, proc, path in zip(placed, cores, procs, paths):
             if proc.wait() != 0:
@@ -293,10 +305,15 @@ def main():
         print("perf_ab: counters differ; no report")
         return 1
 
-    report_table("scaled (as the benchmark reports them)", metrics,
-                 sides[0].runs, sides[1].runs, raw=False)
-    report_table("raw (scaled value / (2.0 / host_ref_ms)^2)", metrics,
-                 sides[0].runs, sides[1].runs, raw=True)
+    if args.trace:
+        report_table("compile layers (--trace 1, per-cell geomean, not "
+                     "host-scaled)", TRACE_METRICS, sides[0].runs,
+                     sides[1].runs, raw=False)
+    else:
+        report_table("scaled (as the benchmark reports them)", metrics,
+                     sides[0].runs, sides[1].runs, raw=False)
+        report_table("raw (scaled value / (2.0 / host_ref_ms)^2)", metrics,
+                     sides[0].runs, sides[1].runs, raw=True)
 
     print("\nhost and layout")
     for side in sides:
