@@ -1,6 +1,5 @@
 #include "frontend/Optimizer.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -95,29 +94,34 @@ private:
       }
       return;
     case NodeKind::Begin: {
-      // Flatten nested begins and drop effect-free statements. The
-      // statements go back into the begin's own list when they fit.
-      std::vector<Node *> Flat;
-      for (size_t I = 0; I != Slot->Subs.size(); ++I) {
-        bool Last = I + 1 == Slot->Subs.size();
-        Node *Sub = Slot->Subs[I];
+      // Flatten nested begins and drop effect-free statements. Without a
+      // nested begin the kept statements are compacted in place; a splice
+      // can lengthen the list, so it takes a new one from the arena.
+      std::span<Node *> Subs = Slot->Subs;
+      size_t Cap = 0;
+      bool Splices = false;
+      for (const Node *Sub : Subs) {
+        bool Nested = Sub->Kind == NodeKind::Begin;
+        Cap += Nested ? Sub->Subs.size() : 1;
+        Splices |= Nested;
+      }
+      Node **Out = Splices ? static_cast<Node **>(A.allocate(
+                                 Cap * sizeof(Node *), alignof(Node *)))
+                           : Subs.data();
+      size_t Size = 0;
+      for (size_t I = 0; I != Subs.size(); ++I) {
+        Node *Sub = Subs[I];
         if (Sub->Kind == NodeKind::Begin) {
-          Flat.insert(Flat.end(), Sub->Subs.begin(), Sub->Subs.end());
+          for (Node *Inner : Sub->Subs)
+            Out[Size++] = Inner;
           ++Rewrites;
-          continue;
-        }
-        if (!Last && isEffectFree(*Sub)) {
+        } else if (I + 1 != Subs.size() && isEffectFree(*Sub)) {
           ++Rewrites;
-          continue;
+        } else {
+          Out[Size++] = Sub;
         }
-        Flat.push_back(Sub);
       }
-      if (Flat.size() <= Slot->Subs.size()) {
-        std::copy(Flat.begin(), Flat.end(), Slot->Subs.begin());
-        Slot->Subs = Slot->Subs.first(Flat.size());
-      } else {
-        Slot->Subs = A.copy<Node *>(Flat);
-      }
+      Slot->Subs = {Out, Size};
       if (Slot->Subs.size() == 1) {
         Slot = Slot->Subs[0];
         ++Rewrites;

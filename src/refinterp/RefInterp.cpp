@@ -176,12 +176,6 @@ private:
   /// steps (this interpreter is slow enough that finer is pointless).
   void chargeStep() {
     ++Steps;
-    // Preemptive cancellation: one relaxed load per eval() step. This
-    // interpreter dispatches a few million steps per second at most, so
-    // the cost is noise and a watchdog's store is seen almost at once.
-    if (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed))
-      throw RuntimeError{ErrorKind::Cancelled, "",
-                         "run cancelled from outside (watchdog or shutdown)"};
     if (Limits.MaxSteps && Steps >= Limits.MaxSteps)
       throw RuntimeError{ErrorKind::FuelExhausted, "",
                          "step budget of " +

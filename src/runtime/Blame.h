@@ -33,7 +33,7 @@ enum class ErrorKind : uint8_t {
   StackOverflow, ///< call-frame or value-stack budget exhausted
   FuelExhausted, ///< step budget (RunLimits::MaxSteps) exhausted
   Timeout,       ///< wall-clock budget (RunLimits::MaxWallNanos) exhausted
-  Cancelled,     ///< stopped from outside via RunLimits::Cancel
+  Cancelled,     ///< outlived a deadline set outside its RunLimits
   Overloaded,    ///< shed by the service before running (admission/quota)
 };
 

@@ -9,18 +9,21 @@
 ///     once per dispatch batch, so overshoot is bounded by the batch
 ///     size), enforces MaxHeapBytes in Heap::allocateObject, MaxFrames at
 ///     every non-tail call, and MaxWallNanos at batch boundaries;
-///   * the reference interpreter counts eval() steps against MaxSteps and
-///     interpreted-call depth against MaxFrames.
+///   * the reference interpreter counts eval() steps against MaxSteps,
+///     interpreted-call depth against MaxFrames, and samples the wall
+///     clock against MaxWallNanos every 4096 steps.
 ///
 /// Exhausting a budget raises a RuntimeError with the matching resource
 /// ErrorKind (FuelExhausted / OutOfMemory / StackOverflow / Timeout); the
 /// engine unwinds cleanly and the owning Grift instance remains usable.
+/// Nothing stops a run from outside: a caller's deadline is folded into
+/// MaxWallNanos before the run starts (service::DeadlineBudget in
+/// service/Job.h).
 ///
 //===----------------------------------------------------------------------===//
 #ifndef GRIFT_RUNTIME_LIMITS_H
 #define GRIFT_RUNTIME_LIMITS_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -54,14 +57,6 @@ struct RunLimits {
   /// goes straight to the old generation's pools, restoring the
   /// pre-generational collector); anything else is an explicit size.
   size_t GCNurseryBytes = std::numeric_limits<size_t>::max();
-
-  /// Preemptive cancellation token. When non-null, the engines poll it
-  /// at the same cadence as the wall clock (VM dispatch-batch boundary /
-  /// refinterp recursion check); once another thread stores true the run
-  /// unwinds with ErrorKind::Cancelled. The token must outlive the run.
-  /// The engines only ever read it (relaxed loads); writers — watchdogs,
-  /// signal handlers, shutdown paths — own the store side.
-  const std::atomic<bool> *Cancel = nullptr;
 };
 
 } // namespace grift

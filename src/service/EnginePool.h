@@ -1,12 +1,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A pool of per-thread Grift engines. Each slot owns one engine, one
-/// compile cache and one cancel token; the executor leases slot i to
-/// worker thread i for the thread's whole lifetime and binds the engine
-/// to it (Grift::bindToCurrentThread), so the engine-per-thread affinity
-/// rule in Grift.h is enforced by construction — and, in debug builds,
-/// by asserts on every compile and run.
+/// A pool of per-thread Grift engines. Each slot owns one engine and
+/// one compile cache; the executor leases slot i to worker thread i
+/// for the thread's whole lifetime and binds the engine to it
+/// (Grift::bindToCurrentThread), so the engine-per-thread affinity rule
+/// in Grift.h is enforced by construction — and, in debug builds, by
+/// asserts on every compile and run.
 ///
 /// The compile cache is keyed on (source, CastMode, optimize): hot
 /// programs resubmitted to the same slot skip parse/check/compile
@@ -46,9 +46,6 @@ public:
   /// One engine slot. Leased to exactly one worker thread at a time.
   struct Slot {
     Grift Engine;
-    /// Cancel token threaded into every run on this slot. Reset by the
-    /// worker before each attempt, stored by the watchdog on kill.
-    std::atomic<bool> CancelToken{false};
     /// (mode|optimize|source) -> compile outcome.
     std::unordered_map<std::string, CacheEntry> Cache;
     // Atomic so stats() can snapshot while the worker is mid-job.

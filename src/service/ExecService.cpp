@@ -135,8 +135,6 @@ JobResult ExecService::executeJob(EnginePool::Slot &Slot, JobSpec &Spec,
   }
 
   RunLimits Limits = Spec.Limits;
-  Limits.Cancel = &Slot.CancelToken;
-  Slot.CancelToken.store(false, std::memory_order_relaxed);
   // Clamp the in-band wall budget to the time left before the absolute
   // deadline: the run follows the client's remaining patience. A deadline
   // that passed during compile still gets a nonzero budget (0 means
@@ -149,15 +147,7 @@ JobResult ExecService::executeJob(EnginePool::Slot &Slot, JobSpec &Spec,
     if (Limits.MaxWallNanos == 0 || Limits.MaxWallNanos > RemainingNanos)
       Limits.MaxWallNanos = std::max<int64_t>(RemainingNanos, 1);
   }
-  // The wall budget and the cancel token are polled at the same batch
-  // boundary, so a watchdog at or past the wall budget could only race
-  // it for the verdict. Arm it only when it fires strictly first.
-  uint64_t WatchHandle = 0;
-  if (Spec.DeadlineNanos > 0 &&
-      (Limits.MaxWallNanos == 0 || Spec.DeadlineNanos < Limits.MaxWallNanos))
-    WatchHandle = Dog.watch(Slot.CancelToken,
-                            Watchdog::Clock::now() +
-                                std::chrono::nanoseconds(Spec.DeadlineNanos));
+  const DeadlineBudget Deadline(Limits, Spec.DeadlineNanos);
   FaultInjector *Faults = nullptr;
   if (Config.GCTorturePeriod || Config.MinorGCTorturePeriod ||
       Config.FailAllocPeriod) {
@@ -168,8 +158,6 @@ JobResult ExecService::executeJob(EnginePool::Slot &Slot, JobSpec &Spec,
     Faults = &Injector;
   }
   RunResult Run = Entry.Exe->run(Spec.Input, Limits, Faults);
-  if (WatchHandle)
-    Dog.unwatch(WatchHandle);
 
   R.WallNanos = Run.WallNanos;
   R.Output = std::move(Run.Output);
@@ -181,6 +169,8 @@ JobResult ExecService::executeJob(EnginePool::Slot &Slot, JobSpec &Spec,
     R.ResultText = std::move(Run.ResultText);
   } else {
     R.Status = JobStatus::Failed;
+    if (Deadline.cancel(Run.Error.Kind, Run.Error.Message))
+      Kills.fetch_add(1, std::memory_order_relaxed);
     R.Kind = Run.Error.Kind;
     R.ErrorMessage = Run.Error.str();
   }
@@ -193,7 +183,7 @@ ServiceStats ExecService::stats() const {
   S.JobsCompleted = Completed.load(std::memory_order_relaxed);
   S.JobsShed = Sheds.load(std::memory_order_relaxed);
   S.DeadlineExpired = Expired.load(std::memory_order_relaxed);
-  S.WatchdogKills = Dog.kills();
+  S.WatchdogKills = Kills.load(std::memory_order_relaxed);
   S.CacheHits = Pool.totalCacheHits();
   S.CacheMisses = Pool.totalCacheMisses();
   S.EpochResets = Pool.totalEpochResets();

@@ -10,15 +10,18 @@
 ///
 ///   1. engine pool — one Grift per worker thread, per-slot compile
 ///      cache, debug thread-affinity asserts;
-///   2. watchdog — jobs carrying a DeadlineNanos shorter than their
-///      wall budget are cancelled from a separate thread via the
-///      RunLimits cancel token (ErrorKind::Cancelled).
+///   2. deadlines — a job's DeadlineNanos, where it is shorter than
+///      its wall budget, becomes that budget; a run that outlives it
+///      ends ErrorKind::Cancelled and counts one WatchdogKills
+///      (DeadlineBudget). No thread watches the clock: the engine's
+///      own wall check ends the run.
 ///
 /// A program's outcome is a function of (source, mode, input, limits),
 /// so every job runs exactly once and reports that run's verdict. Every
 /// failure mode ends in a JobResult; submit() never throws job errors
-/// and workers never die. The destructor drains queued jobs (running
-/// them, not dropping them) and joins all threads.
+/// and workers never die. The worker threads are the only threads it
+/// starts; the destructor drains queued jobs (running them, not
+/// dropping them) and joins them.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef GRIFT_SERVICE_EXECSERVICE_H
@@ -26,9 +29,9 @@
 
 #include "service/EnginePool.h"
 #include "service/Job.h"
-#include "service/Watchdog.h"
 #include "store/Store.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -90,7 +93,7 @@ struct ServiceStats {
   uint64_t JobsCompleted = 0; ///< finished by a worker, failures included
   uint64_t JobsShed = 0;      ///< overload sheds (queue depth bound)
   uint64_t DeadlineExpired = 0; ///< jobs expired in queue, never run
-  uint64_t WatchdogKills = 0; ///< deadline cancellations
+  uint64_t WatchdogKills = 0; ///< runs that outlived their DeadlineNanos
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   uint64_t EpochResets = 0; ///< coercion-arena epoch resets across slots
@@ -143,7 +146,6 @@ private:
   FaultInjector FileFaults;
   std::unique_ptr<store::Store> ProgStore;
   EnginePool Pool;
-  Watchdog Dog;
 
   mutable std::mutex QueueM;
   std::condition_variable QueueCV;
@@ -154,6 +156,7 @@ private:
   std::atomic<uint64_t> Completed{0};
   std::atomic<uint64_t> Sheds{0};
   std::atomic<uint64_t> Expired{0};
+  std::atomic<uint64_t> Kills{0};
   std::atomic<uint64_t> PeakQueue{0};
 
   std::vector<std::thread> Workers; ///< last member: started in ctor body

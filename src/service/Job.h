@@ -3,10 +3,10 @@
 /// \file
 /// Job descriptions and results for the execution service. A JobSpec is
 /// everything needed to compile and run one program: source, cast mode,
-/// input, in-band resource budgets (RunLimits) and an out-of-band
-/// watchdog deadline. A JobResult is the structured outcome griftd
-/// serializes one line of: status, ErrorKind, and the wall/fuel/heap
-/// consumption snapshot from the run.
+/// input, resource budgets (RunLimits) and a deadline set outside those
+/// budgets (see DeadlineBudget). A JobResult is the structured outcome
+/// griftd serializes one line of: status, ErrorKind, and the
+/// wall/fuel/heap consumption snapshot from the run.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef GRIFT_SERVICE_JOB_H
@@ -31,16 +31,12 @@ struct JobSpec {
   CastMode Mode = CastMode::Coercions;
   bool Optimize = false;
   std::string Input;  ///< words for read-int / read-char
-  /// In-band budgets enforced by the engine itself. The Cancel field is
-  /// owned by the service (each run gets the pool slot's token); any
-  /// caller-provided pointer is ignored.
+  /// Budgets enforced by the engine itself.
   RunLimits Limits;
-  /// Out-of-band watchdog deadline for the run, in nanoseconds of wall
-  /// time; 0 = no watchdog. The watchdog thread stores the cancel token
-  /// and the run dies at the next dispatch-batch boundary with
-  /// ErrorKind::Cancelled. It is armed only when it would fire strictly
-  /// before Limits.MaxWallNanos (after the QueueDeadline clamp), which
-  /// is polled at the same boundary and reports ErrorKind::Timeout.
+  /// The caller's deadline for the run, in nanoseconds of wall time;
+  /// 0 = none. Where it is strictly tighter than Limits.MaxWallNanos
+  /// (after the QueueDeadline clamp) it becomes the wall budget, and a
+  /// run that outlives it ends ErrorKind::Cancelled (DeadlineBudget).
   int64_t DeadlineNanos = 0;
   /// Absolute end-to-end deadline (steady clock), including time spent
   /// queued behind other jobs. Default-constructed = none. When set, the
@@ -49,6 +45,35 @@ struct JobSpec {
   /// in-band MaxWallNanos to the time remaining — a request never
   /// outlives its client's patience, no matter how deep the queue was.
   std::chrono::steady_clock::time_point QueueDeadline{};
+};
+
+/// A caller's deadline folded into one run's wall budget. The engines
+/// know only RunLimits::MaxWallNanos; this is the one place that decides
+/// whether a Timeout was the program's own budget or the caller's
+/// deadline. A deadline strictly tighter than the wall budget (or with
+/// no wall budget at all) replaces it, and a Timeout of that run is
+/// reported as ErrorKind::Cancelled. A deadline at or past the wall
+/// budget changes nothing: the run's Timeout stays a Timeout.
+class DeadlineBudget {
+public:
+  DeadlineBudget(RunLimits &Limits, int64_t DeadlineNanos) {
+    if (DeadlineNanos > 0 &&
+        (Limits.MaxWallNanos == 0 || DeadlineNanos < Limits.MaxWallNanos))
+      Limits.MaxWallNanos = Folded = DeadlineNanos;
+  }
+
+  /// Relabels a Timeout of a run whose wall budget is the deadline as
+  /// Cancelled. Returns true when it did: one deadline kill.
+  bool cancel(ErrorKind &Kind, std::string &Message) const {
+    if (!Folded || Kind != ErrorKind::Timeout)
+      return false;
+    Kind = ErrorKind::Cancelled;
+    Message = "deadline of " + std::to_string(Folded) + " ns passed";
+    return true;
+  }
+
+private:
+  int64_t Folded = 0; ///< the deadline, when it became the wall budget
 };
 
 /// How a job ended.

@@ -144,12 +144,6 @@ RunResult VM::run(std::string In, const RunLimits &L) {
 
 void VM::checkBudgets(uint32_t BatchSteps) {
   StepsUsed += BatchSteps;
-  // Preemptive cancellation piggybacks on the batch boundary: one relaxed
-  // load per 1024 instructions, so an external watchdog can stop a wedged
-  // job within microseconds of storing the token with no hot-path cost.
-  if (Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed))
-    throw RuntimeError{ErrorKind::Cancelled, "",
-                       "run cancelled from outside (watchdog or shutdown)"};
   if (Limits.MaxSteps && StepsUsed >= Limits.MaxSteps)
     throw RuntimeError{ErrorKind::FuelExhausted, "",
                        "step budget of " + std::to_string(Limits.MaxSteps) +

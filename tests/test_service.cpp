@@ -2,16 +2,14 @@
 ///
 /// \file
 /// The hardened execution service: engine pool with per-slot compile
-/// caches, watchdog cancellation, one run per job — and the concurrency
-/// guarantees they compose into: a wedged job can always be killed from
-/// outside, its pool thread is immediately reusable, and error outcomes
+/// caches, deadline cancellation, one run per job — and the concurrency
+/// guarantees they compose into: a wedged job always dies at its
+/// deadline, its pool thread is immediately reusable, and error outcomes
 /// are deterministic per (program, limits) even under an 8-thread
 /// mixed-soup load.
 ///
 //===----------------------------------------------------------------------===//
 #include "service/ExecService.h"
-
-#include "refinterp/RefInterp.h"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +22,7 @@ using namespace grift::service;
 namespace {
 
 /// A divergent tail loop: runs forever in constant space on the VM, so
-/// only an out-of-band cancel (or an in-band budget) can stop it.
+/// only a budget or a deadline can stop it.
 const char *DivergentLoop = "(letrec ([loop (lambda () (loop))]) (loop))";
 
 /// A tail loop that retains an ever-growing chain of boxes (OOM bait).
@@ -110,70 +108,11 @@ TEST(ServicePool, NegativeCacheCoversCompileFailures) {
 }
 
 //===----------------------------------------------------------------------===//
-// Watchdog cancellation
+// Deadline cancellation
 //===----------------------------------------------------------------------===//
 
-TEST(ServiceWatchdog, CancelTokenStopsTheVMDirectly) {
-  // The engine-level contract the watchdog builds on: a pre-set token
-  // cancels at the first dispatch-batch boundary.
-  Grift G;
-  std::string Errors;
-  auto Exe = G.compile(DivergentLoop, CastMode::Coercions, Errors);
-  ASSERT_TRUE(Exe.has_value()) << Errors;
-  std::atomic<bool> Cancel{true};
-  RunLimits Limits;
-  Limits.Cancel = &Cancel;
-  RunResult R = Exe->run("", Limits);
-  ASSERT_FALSE(R.OK);
-  EXPECT_EQ(R.Error.Kind, ErrorKind::Cancelled) << R.Error.str();
-  EXPECT_TRUE(R.Error.isResourceExhaustion());
-  // The engine is immediately reusable.
-  auto Exe2 = G.compile("(+ 1 2)", CastMode::Coercions, Errors);
-  ASSERT_TRUE(Exe2.has_value());
-  EXPECT_TRUE(Exe2->run().OK);
-}
-
-TEST(ServiceWatchdog, CancelTokenStopsTheRefInterp) {
-  Grift G;
-  std::string Errors;
-  auto Ast = G.parse(DivergentLoop, Errors);
-  ASSERT_TRUE(Ast.has_value()) << Errors;
-  auto Core = G.check(*Ast, Errors);
-  ASSERT_TRUE(Core.has_value()) << Errors;
-  std::atomic<bool> Cancel{true};
-  RunLimits Limits;
-  Limits.Cancel = &Cancel;
-  refinterp::RefResult R =
-      refinterp::interpret(G.types(), G.coercions(), *Core, "", Limits);
-  ASSERT_FALSE(R.OK);
-  EXPECT_EQ(R.Kind, ErrorKind::Cancelled) << R.Message;
-}
-
-TEST(ServiceWatchdog, FiresAtDeadlineAndCountsKills) {
-  Watchdog Dog;
-  std::atomic<bool> Token{false};
-  Dog.watch(Token, Watchdog::Clock::now() + std::chrono::milliseconds(20));
-  auto Start = std::chrono::steady_clock::now();
-  while (!Token.load() &&
-         std::chrono::steady_clock::now() - Start < std::chrono::seconds(5))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_TRUE(Token.load());
-  EXPECT_EQ(Dog.kills(), 1u);
-}
-
-TEST(ServiceWatchdog, UnwatchDisarms) {
-  Watchdog Dog;
-  std::atomic<bool> Token{false};
-  uint64_t H =
-      Dog.watch(Token, Watchdog::Clock::now() + std::chrono::milliseconds(50));
-  Dog.unwatch(H);
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  EXPECT_FALSE(Token.load());
-  EXPECT_EQ(Dog.kills(), 0u);
-}
-
 /// The acceptance scenario: 20 deliberately divergent jobs with *no*
-/// in-band limits are killed by the watchdog, then the same 8 pool
+/// in-band limits are killed at their deadline, then the same 8 pool
 /// threads run 20 normal jobs — all 40 complete with the right kinds
 /// and every kill lands within 2x the configured deadline.
 TEST(ServiceWatchdog, KillsWedgedJobsAndPoolThreadsStayUsable) {
@@ -197,8 +136,8 @@ TEST(ServiceWatchdog, KillsWedgedJobsAndPoolThreadsStayUsable) {
     JobResult R = Futures[I].get();
     ASSERT_EQ(R.Status, JobStatus::Failed) << R.Id;
     EXPECT_EQ(R.Kind, ErrorKind::Cancelled) << R.Id << ": " << R.ErrorMessage;
-    // Killed within 2x the deadline (the cancel lands one dispatch
-    // batch after the watchdog fires — microseconds, not a margin).
+    // Killed within 2x the deadline (the wall check lands one dispatch
+    // batch after the deadline — microseconds, not a margin).
     EXPECT_LT(R.WallNanos, 2 * DeadlineNanos) << R.Id;
   }
   for (int I = 20; I != 40; ++I) {
@@ -207,6 +146,35 @@ TEST(ServiceWatchdog, KillsWedgedJobsAndPoolThreadsStayUsable) {
     EXPECT_EQ(R.ResultText, std::to_string(I - 20 + 100));
   }
   EXPECT_EQ(Service.stats().WatchdogKills, 20u);
+}
+
+/// The "strictly first" boundary: a deadline below the wall budget is
+/// the caller's kill (Cancelled, one kill counted); a deadline equal to
+/// it leaves the verdict to the program's own budget (Timeout, no kill).
+TEST(ServiceWatchdog, DeadlineBelowWallBudgetCancels) {
+  ServiceConfig Config;
+  Config.Threads = 1;
+  ExecService Service(Config);
+  JobSpec Spec = simpleJob(DivergentLoop);
+  Spec.Limits.MaxWallNanos = 400 * 1000000ll;
+  Spec.DeadlineNanos = 100 * 1000000ll;
+  JobResult R = Service.run(std::move(Spec));
+  ASSERT_EQ(R.Status, JobStatus::Failed);
+  EXPECT_EQ(R.Kind, ErrorKind::Cancelled) << R.ErrorMessage;
+  EXPECT_EQ(Service.stats().WatchdogKills, 1u);
+}
+
+TEST(ServiceWatchdog, DeadlineAtWallBudgetTimesOut) {
+  ServiceConfig Config;
+  Config.Threads = 1;
+  ExecService Service(Config);
+  JobSpec Spec = simpleJob(DivergentLoop);
+  Spec.Limits.MaxWallNanos = 100 * 1000000ll;
+  Spec.DeadlineNanos = Spec.Limits.MaxWallNanos;
+  JobResult R = Service.run(std::move(Spec));
+  ASSERT_EQ(R.Status, JobStatus::Failed);
+  EXPECT_EQ(R.Kind, ErrorKind::Timeout) << R.ErrorMessage;
+  EXPECT_EQ(Service.stats().WatchdogKills, 0u);
 }
 
 //===----------------------------------------------------------------------===//

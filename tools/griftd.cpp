@@ -59,7 +59,7 @@
 ///
 /// Batch exit status is the worst outcome across jobs: 0 all ok, 1
 /// program error (blame/trap/compile error/bad request), 3 resource
-/// exhaustion or an overload shed, 4 watchdog cancellation.
+/// exhaustion or an overload shed, 4 a run cancelled at its deadline_ms.
 ///
 //===----------------------------------------------------------------------===//
 #include "service/Protocol.h"

@@ -7,7 +7,7 @@
 ///
 /// Drives a griftd server over its Unix socket with a deterministic mix
 /// of requests across several tenants: quick bench/fuzz programs (the
-/// latency workload), wedged programs under a deadline (the watchdog
+/// latency workload), wedged programs under a deadline (the deadline
 /// workload), oversized and malformed frames (the hostile workload).
 /// Per-request latencies are aggregated into p50/p99/p999 and emitted as
 /// a grift-bench-v1 JSON document alongside the server's own shed and
